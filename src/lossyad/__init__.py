@@ -2,15 +2,15 @@
 
 A rate-distortion-optimized autoencoder with a factorized entropy
 bottleneck, the sliding-window detection pipelines built on it, and an
-evaluation harness. See README.md for usage.
+evaluation harness. `lossyad --help` lists the command-line entry points.
 """
 
 from .model import TcnAutoencoder, TcnConfig, load_checkpoint, save_checkpoint
 from .training import (ChannelNormalizer, LossWeights, TrainReport,
                        TrainingConfig, ae_loss, fit, rdo_loss)
-from .detection import (ConfidenceStream, DetectionSeries, ThresholdConfig,
-                        expand_votes, f1_score, max_abs_error, multi_shot,
-                        one_shot, scaled_abs_error, score_window, subset_means)
+from .detection import (ConfidenceStream, DetectionSeries, expand_votes,
+                        f1_score, max_abs_error, multi_shot, one_shot,
+                        scaled_abs_error, score_window, subset_means)
 from .data import (CorpusSplit, LabeledSeries, SynthConfig, WindowBatch,
                    build_training_corpus, load_series, normalize, synth_corpus,
                    window)

@@ -5,15 +5,14 @@ Layout (little-endian):
     offset  size  field
     0       4     magic b"LYB1"
     4       1     format version (1)
-    5       4     u32 symbol count (latent length, possibly several latents)
-    9       1     table-id scheme: 0 = identity (symbol j uses table j mod D)
+    5       4     u32 symbol count n (latent length, possibly several latents)
+    9       1     table-id scheme, always 0: symbol j uses table j mod D
     10      2     u16 D = number of per-dimension tables
-    --      2*n   (scheme 1 only) explicit u16 table id per symbol
-    +0      8     f64 tail-mass bound of the codec's tables
-    +8      4     u32 escape count E
-    +12     8*E   i64 escaped raw values, in encounter order
-    +..     4     u32 payload byte length
-    +..     ...   range-coded payload
+    12      8     f64 tail-mass bound of the codec's tables
+    20      4     u32 escape count E
+    24      8*E   i64 escaped raw values, in encounter order
+    24+8E   4     u32 payload byte length P
+    28+8E   P     range-coded payload, which ends the stream
 
 Out-of-support values are coded through each table's escape slot; their raw
 values travel in the header side list and are re-inserted on decode, so any
@@ -28,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from .rangecoder import FrequencyTable, RangeDecoder, RangeEncoder, quantize_pmf
+from .rangecoder import RangeDecoder, RangeEncoder, quantize_pmf
 
 MAGIC = b"LYB1"
 VERSION = 1
+SCHEME = 0
 
 
 @dataclass
@@ -41,8 +41,6 @@ class Bitstream:
     payload: bytes
     n_symbols: int
     n_tables: int
-    table_ids: np.ndarray  # one id per symbol
-    identity_ids: bool
     tail_bound: float
     escapes: list = field(default_factory=list)
 
@@ -50,16 +48,8 @@ class Bitstream:
         out = bytearray()
         out += MAGIC
         out.append(VERSION)
-        out += struct.pack("<I", self.n_symbols)
-        if self.identity_ids:
-            out.append(0)
-            out += struct.pack("<H", self.n_tables)
-        else:
-            out.append(1)
-            out += struct.pack("<H", self.n_tables)
-            out += struct.pack(f"<{self.n_symbols}H", *self.table_ids.tolist())
-        out += struct.pack("<d", self.tail_bound)
-        out += struct.pack("<I", len(self.escapes))
+        out += struct.pack("<IBHdI", self.n_symbols, SCHEME, self.n_tables,
+                           self.tail_bound, len(self.escapes))
         for v in self.escapes:
             out += struct.pack("<q", int(v))
         out += struct.pack("<I", len(self.payload))
@@ -68,41 +58,34 @@ class Bitstream:
 
     @classmethod
     def from_bytes(cls, raw):
-        if raw[:4] != MAGIC:
-            raise ParseError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-        if raw[4] != VERSION:
-            raise ParseError(f"unsupported bitstream version {raw[4]}")
-        pos = 5
-        (n_symbols,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        scheme = raw[pos]
-        pos += 1
-        (n_tables,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        if scheme == 0:
-            ids = np.arange(n_symbols, dtype=np.int64) % max(n_tables, 1)
-            identity = True
-        elif scheme == 1:
-            ids = np.array(struct.unpack_from(f"<{n_symbols}H", raw, pos),
-                           dtype=np.int64)
-            pos += 2 * n_symbols
-            identity = False
-        else:
+        raw = bytes(raw)
+        pos = 0
+
+        def take(fmt):
+            nonlocal pos
+            size = struct.calcsize(fmt)
+            if pos + size > len(raw):
+                raise ParseError(f"truncated bitstream: {len(raw)} bytes, "
+                                 f"need at least {pos + size}")
+            values = struct.unpack_from(fmt, raw, pos)
+            pos += size
+            return values
+
+        magic, version = take("<4sB")
+        if magic != MAGIC:
+            raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise ParseError(f"unsupported bitstream version {version}")
+        n_symbols, scheme, n_tables, tail_bound, n_escapes = take("<IBHdI")
+        if scheme != SCHEME:
             raise ParseError(f"unknown table-id scheme {scheme}")
-        (tail_bound,) = struct.unpack_from("<d", raw, pos)
-        pos += 8
-        (n_escapes,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        escapes = list(struct.unpack_from(f"<{n_escapes}q", raw, pos))
-        pos += 8 * n_escapes
-        (payload_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        payload = bytes(raw[pos: pos + payload_len])
-        if len(payload) != payload_len:
-            raise ParseError("truncated bitstream payload")
-        return cls(payload=payload, n_symbols=n_symbols, n_tables=n_tables,
-                   table_ids=ids, identity_ids=identity, tail_bound=tail_bound,
-                   escapes=escapes)
+        escapes = list(take(f"<{n_escapes}q"))
+        (payload_len,) = take("<I")
+        if pos + payload_len != len(raw):
+            raise ParseError(f"bitstream holds {len(raw) - pos} payload bytes, "
+                             f"header says {payload_len}")
+        return cls(payload=raw[pos:], n_symbols=n_symbols, n_tables=n_tables,
+                   tail_bound=tail_bound, escapes=escapes)
 
 
 class LatentCodec:
@@ -139,21 +122,6 @@ class LatentCodec:
     def escape_index(self, dim):
         return len(self.tables[dim]) - 1
 
-    def estimated_bits(self, symbols):
-        """Code length estimate under the quantized tables, in bits."""
-        symbols = np.asarray(symbols, dtype=np.int64)
-        flat = symbols.reshape(-1, order="F") if symbols.ndim == 2 else symbols
-        total = 0.0
-        for j, v in enumerate(flat):
-            dim = j % self.dims
-            table = self.tables[dim]
-            if self.lo[dim] <= v <= self.hi[dim]:
-                idx = int(v - self.lo[dim])
-            else:
-                idx = self.escape_index(dim)
-            total += -np.log2(table.freqs[idx] / float(table.cum[-1]))
-        return float(total)
-
     def compress(self, symbols):
         """Encode an integer latent (dims,) or batch (dims, n) to a Bitstream."""
         symbols = np.asarray(symbols)
@@ -182,24 +150,28 @@ class LatentCodec:
             else:
                 enc.encode_symbol(self.tables[dim], self.escape_index(dim))
                 escapes.append(int(v))
-        payload = enc.finish()
-        ids = np.arange(flat.size, dtype=np.int64) % self.dims
-        return Bitstream(payload=payload, n_symbols=int(flat.size),
-                         n_tables=self.dims, table_ids=ids, identity_ids=True,
-                         tail_bound=self.tail_bound, escapes=escapes)
+        return Bitstream(payload=enc.finish(), n_symbols=int(flat.size),
+                         n_tables=self.dims, tail_bound=self.tail_bound,
+                         escapes=escapes)
 
     def decompress(self, bitstream):
         """Exact inverse of compress; returns a flat int64 vector."""
+        if bitstream.n_tables != self.dims:
+            raise ParseError(f"bitstream uses {bitstream.n_tables} tables, "
+                             f"codec has {self.dims}")
         dec = RangeDecoder(bitstream.payload)
         out = np.empty(bitstream.n_symbols, dtype=np.int64)
-        pending = list(bitstream.escapes)
+        pending = iter(bitstream.escapes)
         for j in range(bitstream.n_symbols):
-            dim = int(bitstream.table_ids[j])
+            dim = j % self.dims
             idx = dec.decode_symbol(self.tables[dim])
             if idx == self.escape_index(dim):
-                if not pending:
+                raw = next(pending, None)
+                if raw is None:
                     raise ParseError("escape symbol without a raw value")
-                out[j] = pending.pop(0)
+                out[j] = raw
             else:
                 out[j] = self.lo[dim] + idx
+        if next(pending, None) is not None:
+            raise ParseError("bitstream carries escape values no symbol uses")
         return out

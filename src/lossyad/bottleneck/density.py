@@ -52,19 +52,18 @@ class FactorizedDensity:
     filters gives the hidden layer widths; the full stack is
     (1, *filters, 1). init_scale sets the initial width of the modeled
     densities (the composed stack starts as roughly sigmoid(u/init_scale)).
-    Bias init is kept small so the initial CDF is centered: cumulative(0)
-    stays within a few percent of 1/2.
+    Bias init is kept small, drawn from rng, so the initial CDF is centered:
+    the cumulative at 0 stays within a few percent of 1/2.
     """
 
-    def __init__(self, dims, filters=(3, 3, 3), init_scale=10.0,
-                 likelihood_floor=1e-9, rng=None, name="bottleneck"):
+    def __init__(self, dims, rng, filters=(3, 3, 3), init_scale=10.0,
+                 likelihood_floor=1e-9):
         if dims < 1:
             raise ContractError("density needs at least one dimension")
         self.dims = int(dims)
         self.filters = tuple(int(f) for f in filters)
         self.init_scale = float(init_scale)
         self.likelihood_floor = float(likelihood_floor)
-        self.name = name
 
         widths = (1,) + self.filters + (1,)
         n_layers = len(widths) - 1
@@ -78,15 +77,12 @@ class FactorizedDensity:
             # softplus(raw) == 1 / (scale * r_out): composed gain ~= 1/init_scale
             raw = np.log(np.expm1(1.0 / (scale * r_out)))
             self.matrices.append(Parameter(
-                np.full((self.dims, r_out, r_in), raw), f"{name}.matrix_{i}"))
-            if rng is not None:
-                bias0 = rng.uniform(-0.04, 0.04, size=(self.dims, r_out, 1))
-            else:
-                bias0 = np.zeros((self.dims, r_out, 1))
-            self.biases.append(Parameter(bias0, f"{name}.bias_{i}"))
+                np.full((self.dims, r_out, r_in), raw), f"bottleneck.matrix_{i}"))
+            bias0 = rng.uniform(-0.04, 0.04, size=(self.dims, r_out, 1))
+            self.biases.append(Parameter(bias0, f"bottleneck.bias_{i}"))
             if i < n_layers - 1:
                 self.factors.append(Parameter(
-                    np.zeros((self.dims, r_out, 1)), f"{name}.factor_{i}"))
+                    np.zeros((self.dims, r_out, 1)), f"bottleneck.factor_{i}"))
 
     def parameters(self):
         return [*self.matrices, *self.biases, *self.factors]
@@ -118,12 +114,6 @@ class FactorizedDensity:
         logits = self._logits(self._as_grid(arr))
         return F.reshape(F.sigmoid(logits), arr.data.shape)
 
-    def cumulative(self, u, dim):
-        """Scalar cumulative for one dimension, in [0, 1]."""
-        grid = np.zeros((self.dims, 1))
-        grid[dim, 0] = u
-        return float(self.cumulative_grid(grid).data[dim, 0])
-
     def likelihood(self, z):
         """Per-element probability of the quantized values: c(z+1/2)-c(z-1/2).
 
@@ -147,10 +137,6 @@ class FactorizedDensity:
     def rate_bits(self, z):
         """Estimated code length of z in bits: sum_i -log2 likelihood(z_i)."""
         return F.scale(F.rsum(F.log(self.likelihood(z))), -1.0 / LOG2)
-
-    def rate_bits_per_column(self, z):
-        """Per-column rate for a (dims, n) batch of latents -> Tensor (n,)."""
-        return F.scale(F.rsum(F.log(self.likelihood(z)), axis=0), -1.0 / LOG2)
 
     def integer_pmf(self, lo, hi):
         """Tabulate P(k) for integers k in [lo, hi] per dimension.

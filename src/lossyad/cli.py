@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericAbort, ParseError
+from .errors import ConfigError, ContractError, LossyadError, NumericAbort
 from .config import load_experiment, parse_experiment
 from .data import build_training_corpus, load_series, synth_corpus, write_series_csv
 from .detection import default_delta_grid
@@ -374,7 +374,7 @@ def main(argv=None):
     except NumericAbort as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, ContractError, FileNotFoundError) as e:
+    except (LossyadError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

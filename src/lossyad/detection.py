@@ -16,20 +16,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 SUBSET_SIZE = 10
-DEFAULT_DELTA = 1.0
 DEFAULT_CS_LIMIT = 0.85
-
-
-@dataclass(frozen=True)
-class ThresholdConfig:
-    delta: float = DEFAULT_DELTA
-    cs_limit: float = DEFAULT_CS_LIMIT
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ContractError("delta must be finite and positive")
-        if not (0.0 < self.cs_limit <= 1.0):
-            raise ContractError("confidence limit must be in (0, 1]")
 
 
 def scaled_abs_error(x, x_hat, omega):
@@ -54,14 +41,14 @@ def max_abs_error(scaled_err):
     return scaled_err.max(axis=0)
 
 
-def subset_means(max_err, subset_size=SUBSET_SIZE):
-    """Means over consecutive half-open blocks [k*s, (k+1)*s)."""
+def subset_means(max_err):
+    """Means over consecutive half-open blocks [k*s, (k+1)*s), s = SUBSET_SIZE."""
     max_err = np.asarray(max_err, dtype=np.float64)
     t_len = max_err.shape[0]
-    if t_len % subset_size != 0:
+    if t_len % SUBSET_SIZE != 0:
         raise ContractError(
-            f"window length {t_len} not divisible by subset size {subset_size}")
-    return max_err.reshape(t_len // subset_size, subset_size).mean(axis=1)
+            f"window length {t_len} not divisible by subset size {SUBSET_SIZE}")
+    return max_err.reshape(t_len // SUBSET_SIZE, SUBSET_SIZE).mean(axis=1)
 
 
 def one_shot(means, delta):
@@ -71,9 +58,9 @@ def one_shot(means, delta):
     return (np.asarray(means, dtype=np.float64) > delta).astype(np.int64)
 
 
-def expand_votes(votes, subset_size=SUBSET_SIZE):
+def expand_votes(votes):
     """Per-subset decisions expanded to per-time votes (block-constant)."""
-    return np.repeat(np.asarray(votes, dtype=np.int64), subset_size)
+    return np.repeat(np.asarray(votes, dtype=np.int64), SUBSET_SIZE)
 
 
 @dataclass
@@ -82,19 +69,19 @@ class DetectionSeries:
 
     scaled_err: np.ndarray   # (C, T)
     max_err: np.ndarray      # (T,)
-    means: np.ndarray        # (T // subset_size,)
-    votes: np.ndarray        # (T // subset_size,) binary
+    means: np.ndarray        # (T // SUBSET_SIZE,)
+    votes: np.ndarray        # (T // SUBSET_SIZE,) binary
     per_time_votes: np.ndarray  # (T,) binary
 
 
-def score_window(x, x_hat, omega, delta, subset_size=SUBSET_SIZE):
+def score_window(x, x_hat, omega, delta):
     """Run the full single-window pipeline."""
     ae = scaled_abs_error(x, x_hat, omega)
     mae = max_abs_error(ae)
-    means = subset_means(mae, subset_size)
+    means = subset_means(mae)
     votes = one_shot(means, delta)
     return DetectionSeries(scaled_err=ae, max_err=mae, means=means, votes=votes,
-                           per_time_votes=expand_votes(votes, subset_size))
+                           per_time_votes=expand_votes(votes))
 
 
 class ConfidenceStream:
@@ -185,8 +172,7 @@ def default_delta_grid(start=0.2, stop=3.0, step=0.05):
     return start + step * np.arange(n)
 
 
-def sweep_one_shot(window_means, window_labels, grid=None,
-                   subset_size=SUBSET_SIZE):
+def sweep_one_shot(window_means, window_labels, grid=None):
     """Best single-window F1 over a threshold grid.
 
     window_means: list of per-window subset-mean vectors; window_labels:
@@ -198,7 +184,7 @@ def sweep_one_shot(window_means, window_labels, grid=None,
         grid = default_delta_grid()
     means = np.concatenate([np.asarray(m, dtype=np.float64) for m in window_means])
     labels = np.concatenate([np.asarray(l, dtype=np.int64) for l in window_labels])
-    if labels.shape[0] != means.shape[0] * subset_size:
+    if labels.shape[0] != means.shape[0] * SUBSET_SIZE:
         raise DimensionError("labels do not match the expanded prediction length")
     if labels.sum() == 0:
         raise ContractError("threshold sweep needs at least one labeled anomaly")
@@ -206,7 +192,7 @@ def sweep_one_shot(window_means, window_labels, grid=None,
     best_delta = None
     curve = []
     for delta in grid:
-        preds = expand_votes(one_shot(means, float(delta)), subset_size)
+        preds = expand_votes(one_shot(means, float(delta)))
         result = f1_score(preds, labels)
         curve.append((float(delta), result.f1))
         if best is None or result.f1 > best.f1:

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ContractError
 from .detection import (
     ConfidenceStream, default_delta_grid, f1_score, max_abs_error, multi_shot,
-    one_shot, scaled_abs_error, score_window, subset_means, sweep_one_shot,
+    scaled_abs_error, score_window, subset_means, sweep_one_shot,
 )
 from .data import window, window_labels
 
@@ -102,7 +102,8 @@ def stream_series(model, series, delta, cs_limit=0.85):
 
     Every window votes per time instant; votes accumulate into the
     confidence score, thresholded at cs_limit. Also reports the plain
-    1-shot F1 of disjoint windows at the same delta, for comparison.
+    1-shot F1 of the disjoint windows (offsets that are multiples of T) at
+    the same delta, for comparison, from the votes of the same pass.
     """
     t_len = model.config.window_length
     if series.length < t_len:
@@ -110,23 +111,19 @@ def stream_series(model, series, delta, cs_limit=0.85):
             f"series length {series.length} is shorter than the window {t_len}")
     stream = ConfidenceStream(window_length=t_len, limit=cs_limit)
     latest = np.zeros(series.length)
+    disjoint_votes = np.zeros(series.length, dtype=np.int64)
     for o in range(series.length - t_len + 1):
         w = series.channels[:, o: o + t_len]
         x_hat = model.forward_eval(w).data
         det = score_window(w, x_hat, model.omega, delta)
         stream.push(det.per_time_votes)
         latest[o: o + t_len] = det.max_err
+        if o % t_len == 0:
+            disjoint_votes[o: o + t_len] = det.per_time_votes
     cs = stream.confidence()
     alarms = multi_shot(cs, cs_limit)
     labels = series.labels[: stream.n_times]
     ms = f1_score(alarms, labels)
-
-    disjoint_votes = np.zeros(series.length, dtype=np.int64)
-    for o in range(0, series.length - t_len + 1, t_len):
-        w = series.channels[:, o: o + t_len]
-        x_hat = model.forward_eval(w).data
-        det = score_window(w, x_hat, model.omega, delta)
-        disjoint_votes[o: o + t_len] = det.per_time_votes
     os_result = f1_score(disjoint_votes[: stream.n_times], labels)
 
     return StreamResult(confidence=cs, alarms=alarms, latest_max_err=latest,

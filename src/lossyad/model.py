@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -34,24 +35,21 @@ class TcnConfig:
     density_filters: tuple = (3, 3, 3)
     density_init_scale: float = 10.0
     likelihood_floor: float = 1e-9
-    dilations: tuple = field(default=None)  # derived; explicit values are validated
 
     def __post_init__(self):
         if min(self.input_channels, self.window_length, self.blocks,
                self.layers_per_block, self.channel_width, self.kernel_width,
                self.latent_dim) < 1:
             raise ContractError("all architecture sizes must be positive")
-        schedule = tuple(2 ** l for l in range(self.blocks))
-        if self.dilations is None:
-            object.__setattr__(self, "dilations", schedule)
-        elif tuple(self.dilations) != schedule:
-            raise ContractError(
-                f"dilation schedule must double per block: expected {schedule}, "
-                f"got {tuple(self.dilations)}")
         if self.latent_dim >= self.input_channels * self.window_length:
             raise ContractError(
                 f"latent_dim {self.latent_dim} must be strictly smaller than "
                 f"C*T = {self.input_channels * self.window_length}")
+
+    @property
+    def dilations(self):
+        """Dilation of each encoder block: doubles per block, from 1."""
+        return tuple(2 ** l for l in range(self.blocks))
 
     @property
     def receptive_field(self):
@@ -60,15 +58,12 @@ class TcnConfig:
 
     def to_dict(self):
         d = asdict(self)
-        d["dilations"] = list(self.dilations)
         d["density_filters"] = list(self.density_filters)
         return d
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        if d.get("dilations") is not None:
-            d["dilations"] = tuple(d["dilations"])
         if d.get("density_filters") is not None:
             d["density_filters"] = tuple(d["density_filters"])
         return cls(**d)
@@ -175,10 +170,10 @@ class TcnAutoencoder:
                 config.dilations[config.blocks - 1 - j], transposed=True))
 
         self.density = FactorizedDensity(
-            config.latent_dim, filters=config.density_filters,
+            config.latent_dim, rng.spawn("density"),
+            filters=config.density_filters,
             init_scale=config.density_init_scale,
-            likelihood_floor=config.likelihood_floor,
-            rng=rng.spawn("density"))
+            likelihood_floor=config.likelihood_floor)
 
         self.omega = np.ones(c)
         self._params = self._collect_parameters()
@@ -267,14 +262,6 @@ class TcnAutoencoder:
         z = quantize(self.encode(x), QuantizerMode.ROUND)
         return z.data.astype(np.int64)
 
-    def conv_weight_sizes(self, which):
-        blocks = self.encoder_blocks if which == "encoder" else self.decoder_blocks
-        sizes = []
-        for blk in blocks:
-            sizes.extend(w.data.size for w, _ in blk.convs)
-            sizes.append(blk.res_w.data.size)
-        return sorted(sizes)
-
 
 def config_hash(payload):
     """Stable hash of a JSON-serializable config payload."""
@@ -288,8 +275,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 def save_checkpoint(model, out_dir, codec_support=None, extra=None):
     """Write checkpoint.bin (raw little-endian float64 parameter blob, in
     declared name order) and manifest.json describing it."""
-    from pathlib import Path
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     blob = bytearray()
@@ -324,31 +309,60 @@ def save_checkpoint(model, out_dir, codec_support=None, extra=None):
 
 
 def load_checkpoint(ckpt_dir):
-    """Rebuild a model (and its codec, when saved) from a checkpoint directory."""
-    from pathlib import Path
+    """Rebuild a model (and its codec, when saved) from a checkpoint directory.
 
+    The manifest must name exactly the model's parameters, with their shapes
+    and byte ranges inside checkpoint.bin, whose length must match; any other
+    manifest is a ParseError, never a partly loaded model.
+    """
     ckpt_dir = Path(ckpt_dir)
-    manifest = json.loads((ckpt_dir / "manifest.json").read_text())
+    manifest_path = ckpt_dir / "manifest.json"
+    manifest = manifest_path.read_text()
+    blob = (ckpt_dir / "checkpoint.bin").read_bytes()
+    try:
+        manifest = json.loads(manifest)
+        model, codec = _model_from_manifest(manifest, blob)
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{manifest_path}: {type(e).__name__}: {e}") from None
+    return model, manifest, codec
+
+
+def _model_from_manifest(manifest, blob):
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {manifest['format_version']}")
-    config = TcnConfig.from_dict(manifest["config"])
-    model = TcnAutoencoder(config, seed=0)
-    blob = (ckpt_dir / "checkpoint.bin").read_bytes()
+    if manifest["config_hash"] != config_hash(manifest["config"]):
+        raise ParseError("config_hash does not match the manifest's config")
+    model = TcnAutoencoder(TcnConfig.from_dict(manifest["config"]), seed=0)
     by_name = model.named_parameters()
-    for entry in manifest["parameters"]:
-        p = by_name.get(entry["name"])
-        if p is None:
-            raise ParseError(f"checkpoint has unknown parameter {entry['name']}")
-        raw = blob[entry["offset"]: entry["offset"] + entry["bytes"]]
-        arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
-        if arr.shape != p.data.shape:
-            raise ParseError(f"shape mismatch for {entry['name']}")
-        p.data = np.ascontiguousarray(arr, dtype=np.float64)
+    entries = {e["name"]: e for e in manifest["parameters"]}
+    if len(entries) != len(manifest["parameters"]) or entries.keys() != by_name.keys():
+        raise ParseError(
+            f"checkpoint parameters differ from the model's: missing "
+            f"{sorted(by_name.keys() - entries.keys())}, unknown "
+            f"{sorted(entries.keys() - by_name.keys())}")
+    expected = 8 * sum(p.data.size for p in by_name.values())
+    if len(blob) != expected:
+        raise ParseError(f"checkpoint.bin has {len(blob)} bytes, parameters "
+                         f"need {expected}")
+    for name, p in by_name.items():
+        e = entries[name]
+        offset, nbytes = e["offset"], e["bytes"]
+        if tuple(e["shape"]) != p.data.shape or nbytes != 8 * p.data.size:
+            raise ParseError(f"shape mismatch for {name}")
+        if not (isinstance(offset, int) and 0 <= offset <= len(blob) - nbytes):
+            raise ParseError(f"byte range of {name} lies outside checkpoint.bin")
+        arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+        p.data = arr.astype(np.float64).reshape(p.data.shape)
     model.omega = np.asarray(manifest["omega"], dtype=np.float64)
+    if model.omega.shape != (model.config.input_channels,):
+        raise ParseError(f"omega has shape {model.omega.shape}, expected "
+                         f"({model.config.input_channels},)")
     codec = None
     if manifest.get("density_tables"):
         dt = manifest["density_tables"]
         codec = LatentCodec(model.density,
                             np.asarray(dt["support_lo"], dtype=np.int64),
                             np.asarray(dt["support_hi"], dtype=np.int64))
-    return model, manifest, codec
+    return model, codec

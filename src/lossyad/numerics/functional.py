@@ -1,7 +1,12 @@
 """Differentiable operations for the fixed autoencoder topology.
 
-All forward values are float64. Each op registers a reverse-mode closure
-that accumulates into parents' .grad buffers. Broadcasting in add/sub/mul
+The set is exactly what the model uses: causal and transposed causal
+convolutions, `linear` and `reshape`/`flatten` for the encoder/decoder, the
+elementwise ops, `bmm`, `lower_bound` and `rsum` for the factorized density,
+and `mse` and `scale` for the loss. All forward values are float64. Each op registers a
+reverse-mode closure that accumulates into parents' .grad buffers; the
+closure holds arrays and parent tensors, never the op's own output, so a
+graph is acyclic and freed by reference count. Broadcasting in add/sub/mul
 follows numpy rules; gradients are summed back over broadcast axes.
 """
 
@@ -67,55 +72,14 @@ def scale(a, s):
     return out
 
 
-def neg(a):
-    return scale(a, -1.0)
-
-
-def add_n(tensors):
-    """Sum a list of same-shape tensors in one graph node."""
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise DomainError("add_n of an empty list")
-    data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        data += t.data
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req, _parents=tuple(tensors))
-
-    def _bw(g):
-        for t in tensors:
-            if t.requires_grad:
-                t.accumulate_grad(g)
-
-    out._backward_fn = _bw
-    return out
-
-
-def stack_cols(tensors):
-    """Stack n equal-length vectors into a (len, n) matrix."""
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise DomainError("stack_cols of an empty list")
-    data = np.stack([t.data for t in tensors], axis=-1)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req, _parents=tuple(tensors))
-
-    def _bw(g):
-        for j, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(g[..., j])
-
-    out._backward_fn = _bw
-    return out
-
-
 def _unary(a, out_data, da):
     a = as_tensor(a)
-    out = Tensor(out_data(a.data), requires_grad=a.requires_grad, _parents=(a,))
+    y = out_data(a.data)
+    out = Tensor(y, requires_grad=a.requires_grad, _parents=(a,))
 
     def _bw(g):
         if a.requires_grad:
-            a.accumulate_grad(da(g, a.data, out.data))
+            a.accumulate_grad(da(g, a.data, y))
 
     out._backward_fn = _bw
     return out
@@ -129,41 +93,28 @@ def tanh(a):
     return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
-def sigmoid(a):
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def _sigmoid(x):
+    """Logistic function of an array, without overflow for either sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    return _unary(a, fwd, lambda g, x, y: g * y * (1.0 - y))
+
+def sigmoid(a):
+    return _unary(a, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
 
 def softplus(a):
     """log(1 + exp(x)), computed stably; derivative is sigmoid(x)."""
-
-    def fwd(x):
-        return np.logaddexp(0.0, x)
-
-    def bwd(g, x, y):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return g * s
-
-    return _unary(a, fwd, bwd)
+    return _unary(a, lambda x: np.logaddexp(0.0, x),
+                  lambda g, x, y: g * _sigmoid(x))
 
 
 def absolute(a):
     return _unary(a, np.abs, lambda g, x, y: g * np.sign(x))
-
-
-def exp(a):
-    return _unary(a, np.exp, lambda g, x, y: g * y)
 
 
 def log(a):
@@ -187,32 +138,6 @@ def lower_bound(a, bound):
         if a.requires_grad:
             passthrough = (a.data >= bound) | (g < 0.0)
             a.accumulate_grad(g * passthrough)
-
-    out._backward_fn = _bw
-    return out
-
-
-def matmul(a, b):
-    """2D @ 2D or 2D @ 1D matrix product."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise DimensionError(f"matmul expects 2D @ 1D/2D, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b))
-
-    def _bw(g):
-        if b.data.ndim == 1:
-            if a.requires_grad:
-                a.accumulate_grad(np.outer(g, b.data))
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-        else:
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
 
     out._backward_fn = _bw
     return out
@@ -254,45 +179,16 @@ def flatten(a):
     return reshape(a, (-1,))
 
 
-def rsum(a, axis=None):
+def rsum(a):
+    """Sum of all elements."""
     a = as_tensor(a)
     if a.data.size == 0:
         raise DomainError("reduction over an empty tensor")
-    out = Tensor(a.data.sum(axis=axis), requires_grad=a.requires_grad, _parents=(a,))
+    out = Tensor(a.data.sum(), requires_grad=a.requires_grad, _parents=(a,))
 
     def _bw(g):
         if a.requires_grad:
-            if axis is None:
-                a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-
-    out._backward_fn = _bw
-    return out
-
-
-def rmean(a, axis=None):
-    a = as_tensor(a)
-    if a.data.size == 0:
-        raise DomainError("reduction over an empty tensor")
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(rsum(a, axis=axis), 1.0 / n)
-
-
-def rmax(a, axis):
-    """Max over one axis; gradient routes to the first maximal entry."""
-    a = as_tensor(a)
-    if a.data.size == 0:
-        raise DomainError("reduction over an empty tensor")
-    out = Tensor(a.data.max(axis=axis), requires_grad=a.requires_grad, _parents=(a,))
-    idx = a.data.argmax(axis=axis)
-
-    def _bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis)
-            a.accumulate_grad(full)
+            a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
 
     out._backward_fn = _bw
     return out
@@ -328,7 +224,20 @@ def linear(x, w, b):
     if w.data.shape[1] != x.data.shape[0] or w.data.shape[0] != b.data.shape[0]:
         raise DimensionError(
             f"linear shapes disagree: W {w.shape}, x {x.shape}, b {b.shape}")
-    return add(matmul(w, x), b)
+    out = Tensor(w.data @ x.data + b.data,
+                 requires_grad=x.requires_grad or w.requires_grad or b.requires_grad,
+                 _parents=(x, w, b))
+
+    def _bw(g):
+        if b.requires_grad:
+            b.accumulate_grad(g)
+        if w.requires_grad:
+            w.accumulate_grad(np.outer(g, x.data))
+        if x.requires_grad:
+            x.accumulate_grad(w.data.T @ g)
+
+    out._backward_fn = _bw
+    return out
 
 
 def _check_conv_shapes(x, w, b, dilation, transposed):

@@ -55,20 +55,19 @@ class ChannelNormalizer:
     perfectly reconstructed channel yields a large but finite weight.
     """
 
-    def __init__(self, channels, decay=0.99, floor=1e-6):
+    decay = 0.99
+    floor = 1e-6
+
+    def __init__(self, channels):
         self.channels = channels
-        self.decay = float(decay)
-        self.floor = float(floor)
         self.sigma = None
 
     def update(self, residuals):
-        """residuals: (n, C, T) batch or a single (C, T) window."""
+        """residuals: (n, C, T) batch."""
         arr = np.asarray(residuals, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.shape[1] != self.channels:
+        if arr.ndim != 3 or arr.shape[1] != self.channels:
             raise ContractError(
-                f"residual batch has {arr.shape[1]} channels, expected {self.channels}")
+                f"residual batch has shape {arr.shape}, expected (n, {self.channels}, T)")
         batch_sigma = arr.transpose(1, 0, 2).reshape(self.channels, -1).std(axis=1)
         if self.sigma is None:
             self.sigma = batch_sigma
@@ -131,20 +130,6 @@ def _as_window_array(corpus):
     return arr
 
 
-def corpus_loss(model, windows, weights, noise_seed=0):
-    """Mean training loss over a corpus with pinned quantization noise."""
-    windows = _as_window_array(windows)
-    noise_rng = RngState(noise_seed)
-    totals = []
-    for w in windows:
-        if model.config.bottleneck_enabled:
-            x_hat, x_tilde, rate = model.forward_train(w, noise_rng)
-            totals.append(rdo_loss(Tensor(w), x_hat, x_tilde, rate, weights).item())
-        else:
-            totals.append(ae_loss(w, model).item())
-    return float(np.mean(totals))
-
-
 def fit(corpus, config):
     """Train a model on unlabeled windows.
 
@@ -183,8 +168,10 @@ def fit(corpus, config):
         rate_sum = d1_sum = d2_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = order[start: start + config.batch_size]
-            losses = []
             residuals = []
+            opt.zero_grad()
+            # Backward per window keeps no list of graphs alive; scaling each
+            # loss by 1 / batch size accumulates the minibatch-mean gradient.
             for i in batch_idx:
                 x = windows[i]
                 if bottleneck:
@@ -199,13 +186,10 @@ def fit(corpus, config):
                     loss = F.mse(Tensor(x), recon)
                     d1_sum += loss.item()
                     residuals.append(x - recon.data)
-                losses.append(loss)
-            batch_loss = F.scale(F.add_n(losses), 1.0 / len(losses))
-            if not np.isfinite(batch_loss.item()):
-                raise NumericAbort(
-                    f"non-finite loss in epoch {epoch}", last_report=report)
-            opt.zero_grad()
-            backward(batch_loss)
+                if not np.isfinite(loss.item()):
+                    raise NumericAbort(
+                        f"non-finite loss in epoch {epoch}", last_report=report)
+                backward(F.scale(loss, 1.0 / len(batch_idx)))
             opt.step()
             normalizer.update(np.stack(residuals))
 

@@ -229,6 +229,16 @@ class TestSweepAndSynth:
         s = load_series(manifest["files"][0])
         assert s.channels.shape == (3, 400)
 
+    def test_channel_mismatch_with_checkpoint_is_data_error(self, trained, tmp_path):
+        # The checkpoint has 3 input channels; this config's series have 4.
+        _, out = trained
+        doc = tiny_config(tmp_path / "x", **{"model.input_channels": 4})
+        doc["data"]["synth"]["channels"] = 4
+        cfg = write_config(tmp_path, doc)
+        code = main(["stream", "--config", str(cfg), "--checkpoint", str(out),
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+
     def test_unknown_set_id_is_data_error(self, trained, tmp_path):
         cfg_path, out = trained
         code = main(["stream", "--config", str(cfg_path), "--checkpoint",

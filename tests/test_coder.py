@@ -1,5 +1,7 @@
 """Range coder and bitstream tests: losslessness and rate consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,39 @@ class TestLatentCodec:
     def test_bad_magic_rejected(self):
         with pytest.raises(ParseError):
             Bitstream.from_bytes(b"XXXX" + bytes(32))
+
+    def test_every_truncated_prefix_rejected(self, codec_setup):
+        _, codec = codec_setup
+        raw = codec.compress(np.array([0, 3, -12, 12, 40, -2, -77, 5])).to_bytes()
+        for n in range(len(raw)):
+            with pytest.raises(ParseError):
+                Bitstream.from_bytes(raw[:n])
+
+    def test_trailing_bytes_rejected(self, codec_setup):
+        _, codec = codec_setup
+        raw = codec.compress(np.array([0, 3, -12, 12, 40, -2, -77, 5])).to_bytes()
+        for tail in (b"\x00", b"garbage"):
+            with pytest.raises(ParseError):
+                Bitstream.from_bytes(raw + tail)
+
+    def test_nonzero_table_id_scheme_rejected(self, codec_setup):
+        _, codec = codec_setup
+        raw = bytearray(codec.compress(np.zeros(8, dtype=np.int64)).to_bytes())
+        raw[9] = 1
+        with pytest.raises(ParseError):
+            Bitstream.from_bytes(bytes(raw))
+
+    def test_table_count_must_match_codec(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.zeros(8, dtype=np.int64))
+        with pytest.raises(ParseError):
+            codec.decompress(replace(bs, n_tables=4))
+
+    def test_unused_escape_values_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.zeros(8, dtype=np.int64))
+        with pytest.raises(ParseError):
+            codec.decompress(replace(bs, escapes=[99]))
 
     def test_non_integer_rejected(self, codec_setup):
         _, codec = codec_setup

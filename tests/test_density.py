@@ -9,6 +9,12 @@ from lossyad.bottleneck import FactorizedDensity, QuantizerMode, quantize, round
 from oracles import finite_diff_grad, max_rel_error
 
 
+def cdf(d, u):
+    """Cumulative of every dimension at each value of the 1-D array u."""
+    u = np.asarray(u, dtype=np.float64)
+    return d.cumulative_grid(np.broadcast_to(u, (d.dims, u.size)).copy()).data
+
+
 def make_density(dims=4, seed=0, perturb=0.0):
     rng = RngState(seed)
     d = FactorizedDensity(dims, rng=rng)
@@ -21,23 +27,21 @@ def make_density(dims=4, seed=0, perturb=0.0):
 class TestCumulative:
     def test_saturates_in_the_tails(self):
         d = make_density()
-        for i in range(d.dims):
-            assert d.cumulative(20.0 * d.init_scale, i) > 0.99
-            assert d.cumulative(-20.0 * d.init_scale, i) < 0.01
+        c = cdf(d, [20.0 * d.init_scale, -20.0 * d.init_scale])
+        assert np.all(c[:, 0] > 0.99)
+        assert np.all(c[:, 1] < 0.01)
 
     def test_monotone_on_random_pairs(self):
         d = make_density(perturb=0.3, seed=3)
         rng = np.random.default_rng(1)
-        for _ in range(1000):
-            u = np.sort(rng.uniform(-30, 30, size=2))
-            i = int(rng.integers(0, d.dims))
-            assert d.cumulative(u[0], i) <= d.cumulative(u[1], i)
+        u = np.sort(rng.uniform(-30, 30, size=(1000, 2)), axis=1)
+        c = cdf(d, u.reshape(-1)).reshape(d.dims, 1000, 2)
+        assert np.all(c[:, :, 0] <= c[:, :, 1])
 
     def test_centered_at_zero_when_initialized(self):
         for seed in range(5):
             d = make_density(seed=seed)
-            for i in range(d.dims):
-                assert abs(d.cumulative(0.0, i) - 0.5) < 0.05
+            assert np.all(np.abs(cdf(d, [0.0]) - 0.5) < 0.05)
 
     def test_monotone_on_dense_grid_even_after_perturbation(self):
         d = make_density(dims=3, seed=9, perturb=1.0)
@@ -99,9 +103,10 @@ class TestLikelihood:
         d = make_density(seed=2)
         z = np.array([0.3, -1.2, 2.0, 0.0])
         p = d.likelihood(Tensor(z)).data
+        direct = (d.cumulative_grid(z + 0.5).data
+                  - d.cumulative_grid(z - 0.5).data)
         for i in range(d.dims):
-            direct = d.cumulative(z[i] + 0.5, i) - d.cumulative(z[i] - 0.5, i)
-            assert abs(p[i] - max(direct, d.likelihood_floor)) < 1e-12
+            assert abs(p[i] - max(direct[i], d.likelihood_floor)) < 1e-12
 
     def test_values_in_unit_interval(self):
         d = make_density(perturb=0.8, seed=4)
@@ -149,10 +154,9 @@ class TestRateBits:
         d = make_density(seed=12)
         rng = np.random.default_rng(3)
         batch = rng.uniform(-3, 3, size=(d.dims, 5))
-        per_col = d.rate_bits_per_column(Tensor(batch)).data
-        for j in range(5):
-            single = d.rate_bits(Tensor(batch[:, j])).item()
-            assert abs(per_col[j] - single) < 1e-10
+        total = d.rate_bits(Tensor(batch)).item()
+        per_col = [d.rate_bits(Tensor(batch[:, j])).item() for j in range(5)]
+        assert abs(total - sum(per_col)) < 1e-9
 
 
 def test_integer_pmf_sums_with_tail_to_one():

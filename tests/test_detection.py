@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from lossyad.config import parse_experiment
 from lossyad.errors import ContractError, DimensionError, DomainError
 from lossyad.detection import (
-    ConfidenceStream, ThresholdConfig, default_delta_grid, expand_votes,
-    f1_score, max_abs_error, multi_shot, one_shot, scaled_abs_error,
-    score_window, subset_means, sweep_one_shot,
+    ConfidenceStream, default_delta_grid, expand_votes, f1_score,
+    max_abs_error, multi_shot, one_shot, scaled_abs_error, score_window,
+    subset_means, sweep_one_shot,
 )
 
 from oracles import confidence_oracle, detection_pipeline_oracle
@@ -82,8 +83,11 @@ class TestOneShot:
         np.testing.assert_array_equal(one_shot(np.zeros(20), 1.0), np.zeros(20))
 
     def test_typical_operating_point_accepted(self):
-        cfg = ThresholdConfig()
-        assert cfg.delta == 1.0 and cfg.cs_limit == 0.85
+        # The experiment defaults: delta 1.0, confidence limit 0.85.
+        detection = parse_experiment({}).detection
+        assert detection["delta"] == 1.0 and detection["cs_limit"] == 0.85
+        assert one_shot(np.array([1.5]), detection["delta"])[0] == 1
+        assert multi_shot(np.array([0.9]), detection["cs_limit"])[0] == 1
 
     def test_monotonicity_in_delta(self):
         rng = np.random.default_rng(4)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from lossyad.errors import ContractError, DimensionError
-from lossyad.model import TcnAutoencoder, TcnConfig, load_checkpoint, save_checkpoint
+import json
+
+from lossyad.errors import ContractError, DimensionError, ParseError
+from lossyad.model import (TcnAutoencoder, TcnConfig, config_hash, load_checkpoint,
+                           save_checkpoint)
 from lossyad.numerics import RngState, Tensor, backward, functional as F
 
 
@@ -25,8 +28,10 @@ class TestConfig:
         assert cfg.dilations == tuple(2 ** l for l in range(8))
 
     def test_wrong_dilations_rejected(self):
-        with pytest.raises(ContractError):
+        # The schedule is derived from `blocks`; it cannot be set.
+        with pytest.raises(TypeError):
             toy_config(dilations=(1, 3))
+        assert toy_config(blocks=3).dilations == (1, 2, 4)
 
     def test_latent_must_compress(self):
         with pytest.raises(ContractError):
@@ -147,7 +152,12 @@ class TestArchitectureInvariants:
     def test_conv_weight_size_mirror(self):
         for cfg in [toy_config(), toy_config(input_channels=3, channel_width=6, blocks=3)]:
             m = TcnAutoencoder(cfg, seed=14)
-            assert m.conv_weight_sizes("encoder") == m.conv_weight_sizes("decoder")
+
+            def sizes(side):
+                return sorted(p.data.size for name, p in m.named_parameters().items()
+                              if name.startswith(side) and name.endswith(".weight"))
+
+            assert sizes("encoder.") == sizes("decoder.")
 
     def test_residual_identity_blocks(self):
         cfg = toy_config()
@@ -189,6 +199,59 @@ class TestCheckpoint:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_text() == \
                (tmp_path / "b" / "manifest.json").read_text()
+
+    @staticmethod
+    def saved(tmp_path):
+        save_checkpoint(TcnAutoencoder(toy_config(), seed=20), tmp_path)
+        path = tmp_path / "manifest.json"
+        return path, json.loads(path.read_text())
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        manifest["parameters"].pop(3)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="missing"):
+            load_checkpoint(tmp_path)
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        manifest["parameters"][3]["name"] = "encoder.block9.conv0.weight"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="unknown"):
+            load_checkpoint(tmp_path)
+
+    def test_byte_range_outside_blob_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        blob_len = (tmp_path / "checkpoint.bin").stat().st_size
+        manifest["parameters"][0]["offset"] = blob_len - 8
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="outside"):
+            load_checkpoint(tmp_path)
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        self.saved(tmp_path)
+        blob = tmp_path / "checkpoint.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ParseError, match="bytes"):
+            load_checkpoint(tmp_path)
+
+    def test_config_edited_without_its_hash_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        manifest["config"]["likelihood_floor"] = 1e-3
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="config_hash"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("hidden_layers", 3),
+                                            ("dilations", [1, 2])])
+    def test_config_rejected_by_tcn_config_is_parse_error(self, tmp_path, key, value):
+        # Manifests written while `dilations` was a config field carry it.
+        path, manifest = self.saved(tmp_path)
+        manifest["config"][key] = value
+        manifest["config_hash"] = config_hash(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError):
+            load_checkpoint(tmp_path)
 
     def test_same_seed_same_init(self):
         m1 = TcnAutoencoder(toy_config(), seed=19)

@@ -1,15 +1,17 @@
 """Losses, channel normalizer, and training-loop behavior."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from lossyad.errors import ContractError, NumericAbort
 from lossyad.bottleneck.density import FactorizedDensity
 from lossyad.model import TcnAutoencoder, TcnConfig
-from lossyad.numerics import Tensor
+from lossyad.numerics import RngState, Tensor
 from lossyad.training import (
-    ChannelNormalizer, LossWeights, TrainingConfig, ae_loss, corpus_loss,
-    fit, latent_support, rdo_loss,
+    ChannelNormalizer, LossWeights, TrainingConfig, ae_loss, fit,
+    latent_support, rdo_loss,
 )
 
 
@@ -155,6 +157,16 @@ class TestChannelNormalizer:
             assert np.all(norm.omega > 0)
 
 
+def corpus_loss(model, windows, weights, noise_seed):
+    """Mean RDO training loss over a corpus with pinned quantization noise."""
+    noise_rng = RngState(noise_seed)
+    totals = []
+    for w in windows:
+        x_hat, x_tilde, rate = model.forward_train(w, noise_rng)
+        totals.append(rdo_loss(Tensor(w), x_hat, x_tilde, rate, weights).item())
+    return float(np.mean(totals))
+
+
 class TestFit:
     def test_one_epoch_decreases_loss_most_seeds(self):
         windows = toy_corpus(10, seed=5)
@@ -217,6 +229,23 @@ class TestFit:
     def test_wrong_window_shape_rejected(self):
         with pytest.raises(ContractError):
             fit(np.zeros((4, 3, 20)), toy_train_config())
+
+    @pytest.mark.parametrize("bottleneck", [True, False])
+    def test_graphs_are_freed_without_the_cycle_collector(self, bottleneck):
+        # Autodiff graphs hold no reference cycles, so reference counting
+        # alone frees them: with the collector off, nothing is left for it.
+        windows = toy_corpus(8, seed=12)
+        cfg = toy_train_config(
+            model=toy_model_config(bottleneck_enabled=bottleneck), epochs=1)
+        gc.collect()
+        gc.disable()
+        try:
+            model, _ = fit(windows, cfg)   # one minibatch of 8
+            model.forward_eval(windows[0])
+            model.latent_symbols(windows[0])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_latent_support_covers_observations(self):
         windows = toy_corpus(6, seed=10)
