@@ -155,12 +155,17 @@ class LatentCodec:
                          escapes=escapes)
 
     def decompress(self, bitstream):
-        """Exact inverse of compress; returns a flat int64 vector."""
+        """Exact inverse of compress; returns a flat int64 vector.
+
+        Nothing is sized from the header's symbol count: decoding stops
+        with a ParseError as soon as it needs a byte the payload lacks, and
+        a payload must be read to its end.
+        """
         if bitstream.n_tables != self.dims:
             raise ParseError(f"bitstream uses {bitstream.n_tables} tables, "
                              f"codec has {self.dims}")
         dec = RangeDecoder(bitstream.payload)
-        out = np.empty(bitstream.n_symbols, dtype=np.int64)
+        out = []
         pending = iter(bitstream.escapes)
         for j in range(bitstream.n_symbols):
             dim = j % self.dims
@@ -169,9 +174,10 @@ class LatentCodec:
                 raw = next(pending, None)
                 if raw is None:
                     raise ParseError("escape symbol without a raw value")
-                out[j] = raw
+                out.append(raw)
             else:
-                out[j] = self.lo[dim] + idx
+                out.append(int(self.lo[dim]) + idx)
+        dec.finish()
         if next(pending, None) is not None:
             raise ParseError("bitstream carries escape values no symbol uses")
-        return out
+        return np.array(out, dtype=np.int64)

@@ -1,10 +1,13 @@
-"""Factorized probability model over the latent, plus uniform quantization.
+"""Factorized probability model over the latent, plus rounding quantization.
 
-Each latent dimension gets an independent learned CDF built from a stack of
-monotone layers: positive (softplus-reparameterized) matrices, biases, and
-tanh-bounded mixing factors, finished by a sigmoid. Probabilities of the
-integer-quantized latent are CDF differences at half-integer edges, which
-is what both the rate estimate and the entropy coder consume.
+Each latent dimension gets an independent learned CDF (Ballé et al. 2018,
+App. 6.1) built from a stack of monotone layers: softplus-positive
+matrices, biases and tanh-bounded mixing factors, finished by a sigmoid.
+The probability of an integer-quantized value z is c(z+1/2) - c(z-1/2),
+which is what both the rate estimate and the entropy coder consume.
+`rate_bits` is a single autodiff node whose backward runs in closed form
+back through the stack; `cumulative_grid`, `likelihood` and `integer_pmf`
+are plain numpy evaluations that build no graph.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ContractError, DimensionError
-from ..numerics import Parameter, Tensor, functional as F
+from ..numerics import Parameter, Tensor
 
 LOG2 = float(np.log(2.0))
 
 
 class QuantizerMode(Enum):
-    NOISE = "noise"
     ROUND = "round"
 
 
@@ -29,21 +31,24 @@ def round_half_away(values):
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
-def quantize(y, mode, rng=None):
-    """Quantize a latent tensor.
-
-    NOISE (training): adds i.i.d. Uniform(-1/2, 1/2); the gradient with
-    respect to y is the identity. ROUND (inference): deterministic
-    round-half-away-from-zero with no gradient path.
+def quantize(y, mode):
+    """Quantize a latent tensor for inference: deterministic
+    round-half-away-from-zero with no gradient path. (Training adds
+    Uniform(-1/2, 1/2) noise instead; see TcnAutoencoder.forward_train.)
     """
-    if mode is QuantizerMode.NOISE:
-        if rng is None:
-            raise ContractError("NOISE quantization requires an RngState")
-        noise = rng.uniform(-0.5, 0.5, size=y.data.shape)
-        return F.add(y, Tensor(noise))
     if mode is QuantizerMode.ROUND:
         return Tensor(round_half_away(y.data))
     raise ContractError(f"unknown quantizer mode {mode!r}")
+
+
+def _sigmoid(x):
+    """Logistic function of an array, without overflow for either sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 class FactorizedDensity:
@@ -88,62 +93,112 @@ class FactorizedDensity:
         return [*self.matrices, *self.biases, *self.factors]
 
     def _logits(self, u):
-        """Logits of the cumulative at u: Tensor (dims, 1, n) -> (dims, 1, n)."""
+        """Logits of the cumulative at u, a (dims, 1, n) array, and per layer
+        its input, positive matrix and the tanh of its pre-activation (None
+        for the last layer): what the backward of `rate_bits` reads.
+        """
+        saved = []
         h = u
         for i, (m, b) in enumerate(zip(self.matrices, self.biases)):
-            h = F.add(F.bmm(F.softplus(m), h), b)
+            positive = np.logaddexp(0.0, m.data)
+            a = positive @ h + b.data
+            ta = None
             if i < len(self.factors):
-                h = F.add(h, F.mul(F.tanh(self.factors[i]), F.tanh(h)))
-        return h
+                ta = np.tanh(a)
+                a = a + np.tanh(self.factors[i].data) * ta
+            saved.append((h, positive, ta))
+            h = a
+        return h, saved
 
     def _as_grid(self, values):
-        """(dims,) or (dims, n) array -> Tensor (dims, 1, n)."""
-        arr = values if isinstance(values, Tensor) else Tensor(values)
-        if arr.data.shape[0] != self.dims:
+        """(dims,) or (dims, n) array or Tensor -> ((dims, 1, n) array, its shape)."""
+        arr = np.asarray(values.data if isinstance(values, Tensor) else values,
+                         dtype=np.float64)
+        if arr.ndim not in (1, 2):
+            raise DimensionError(f"expected (dims,) or (dims, n), got {arr.shape}")
+        if arr.shape[0] != self.dims:
             raise DimensionError(
-                f"latent has {arr.data.shape[0]} dims, density models {self.dims}")
-        if arr.data.ndim == 1:
-            return F.reshape(arr, (self.dims, 1, 1))
-        if arr.data.ndim == 2:
-            return F.reshape(arr, (self.dims, 1, arr.data.shape[1]))
-        raise DimensionError(f"expected (dims,) or (dims, n), got {arr.data.shape}")
+                f"latent has {arr.shape[0]} dims, density models {self.dims}")
+        return arr.reshape(self.dims, 1, arr.size // self.dims), arr.shape
+
+    def _edges(self, grid):
+        """Cumulatives at the half-integer edges around a (dims, 1, n) grid.
+
+        Returns (upper, lower, sign, saved): sigmoid(sign * logit) at z+1/2
+        and z-1/2, where the sign flip mirrors both edges into the sigmoid's
+        left tail, so their difference keeps full float precision even far
+        from the mode, and the layers `_logits` saved. Both edges run
+        through the stack in one pass.
+        """
+        n = grid.shape[2]
+        logits, saved = self._logits(np.concatenate([grid + 0.5, grid - 0.5], axis=2))
+        upper, lower = logits[..., :n], logits[..., n:]
+        sign = -np.sign(upper + lower)
+        return _sigmoid(sign * upper), _sigmoid(sign * lower), sign, saved
 
     def cumulative_grid(self, values):
-        """Cumulative probability at each entry of a (dims,) or (dims, n) array."""
-        arr = values if isinstance(values, Tensor) else Tensor(values)
-        logits = self._logits(self._as_grid(arr))
-        return F.reshape(F.sigmoid(logits), arr.data.shape)
+        """Cumulative probability at each entry of a (dims,) or (dims, n)
+        array; a Tensor without a graph."""
+        grid, shape = self._as_grid(values)
+        return Tensor(_sigmoid(self._logits(grid)[0]).reshape(shape))
 
     def likelihood(self, z):
-        """Per-element probability of the quantized values: c(z+1/2)-c(z-1/2).
+        """Per-element probability of the quantized values, c(z+1/2)-c(z-1/2),
+        floored at likelihood_floor: a (dims,) or (dims, n) Tensor without
+        a graph."""
+        grid, shape = self._as_grid(z)
+        upper, lower, _, _ = self._edges(grid)
+        return Tensor(np.maximum(np.abs(upper - lower), self.likelihood_floor).reshape(shape))
 
-        z: Tensor (dims,) or (dims, n). Differentiable in z and in the
-        density parameters; floored at likelihood_floor. The sign flip
-        mirrors both edges into the sigmoid's left tail, where differences
-        of near-zero values keep full float precision.
+    def rate_bits(self, z):
+        """Estimated code length of z in bits, sum_i -log2 likelihood(z_i).
+
+        One graph node, differentiable in z and in every density
+        parameter. Its backward is closed-form back through the CDF stack;
+        at the likelihood floor the gradient passes only where it would
+        raise the probability, so far-tail latents stay trainable.
         """
         if not isinstance(z, Tensor):
             z = Tensor(z)
-        orig_shape = z.data.shape
-        grid = self._as_grid(z)
-        upper = self._logits(F.add(grid, 0.5))
-        lower = self._logits(F.add(grid, -0.5))
-        sign = Tensor(-np.sign(upper.data + lower.data))
-        p = F.absolute(F.sub(F.sigmoid(F.mul(sign, upper)),
-                             F.sigmoid(F.mul(sign, lower))))
-        p = F.lower_bound(p, self.likelihood_floor)
-        return F.reshape(p, orig_shape)
+        grid, shape = self._as_grid(z)
+        n = grid.shape[2]
+        upper, lower, sign, saved = self._edges(grid)
+        diff = upper - lower
+        unfloored = np.abs(diff)
+        p = np.maximum(unfloored, self.likelihood_floor)
+        out = Tensor(np.log(p.reshape(shape)).sum() * (-1.0 / LOG2),
+                     requires_grad=True, _parents=(z, *self.parameters()))
 
-    def rate_bits(self, z):
-        """Estimated code length of z in bits: sum_i -log2 likelihood(z_i)."""
-        return F.scale(F.rsum(F.log(self.likelihood(z))), -1.0 / LOG2)
+        def _bw(g):
+            gp = g * (-1.0 / LOG2) / p
+            # the floor passes a gradient only where descent would raise p
+            gp = gp * ((unfloored >= self.likelihood_floor) | (gp < 0.0))
+            # d|diff| is sign(diff): zero where both edges agree exactly
+            gd = gp * np.sign(diff)
+            gh = np.concatenate([gd * sign * upper * (1.0 - upper),
+                                 -gd * sign * lower * (1.0 - lower)], axis=2)
+            for i in reversed(range(len(saved))):
+                h, positive, ta = saved[i]
+                if ta is not None:
+                    tf = np.tanh(self.factors[i].data)
+                    self.factors[i].accumulate_grad(
+                        (gh * ta).sum(axis=2, keepdims=True) * (1.0 - tf * tf))
+                    gh = gh * (1.0 + tf * (1.0 - ta * ta))
+                self.biases[i].accumulate_grad(gh.sum(axis=2, keepdims=True))
+                self.matrices[i].accumulate_grad(
+                    (gh @ np.swapaxes(h, 1, 2)) * _sigmoid(self.matrices[i].data))
+                gh = np.swapaxes(positive, 1, 2) @ gh
+            if z.requires_grad:
+                z.accumulate_grad((gh[..., :n] + gh[..., n:]).reshape(shape))
+
+        out._backward_fn = _bw
+        return out
 
     def integer_pmf(self, lo, hi):
         """Tabulate P(k) for integers k in [lo, hi] per dimension.
 
         Returns (pmf, tail_mass): pmf is (dims, hi-lo+1), tail_mass (dims,)
-        holding the probability outside the tabulated support. Evaluated
-        without gradients.
+        holding the probability outside the tabulated support.
         """
         if hi < lo:
             raise ContractError(f"empty support [{lo}, {hi}]")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, ParseError
 
 PRECISION = 32
 TOP = 1 << (PRECISION - 8)
@@ -106,6 +106,10 @@ class RangeEncoder:
 
 
 class RangeDecoder:
+    """Decoder of a RangeEncoder payload. A valid payload is read exactly
+    to its end and never past it: `_next_byte` raises ParseError on a byte
+    the payload does not hold, and `finish` on bytes left unread."""
+
     def __init__(self, data):
         self._data = data
         self._pos = 0
@@ -116,11 +120,16 @@ class RangeDecoder:
             self._state = (self._state << 8) | self._next_byte()
 
     def _next_byte(self):
-        if self._pos < len(self._data):
-            b = self._data[self._pos]
-            self._pos += 1
-            return b
-        return 0
+        if self._pos >= len(self._data):
+            raise ParseError(f"range-coded payload ends after {len(self._data)} bytes")
+        b = self._data[self._pos]
+        self._pos += 1
+        return b
+
+    def finish(self):
+        if self._pos != len(self._data):
+            raise ParseError(f"range-coded payload has {len(self._data) - self._pos} "
+                             f"bytes no symbol uses")
 
     def decode_symbol(self, table):
         r = self._range // TOTAL_FREQ

@@ -189,13 +189,8 @@ def cmd_compress(args):
         w = series.channels[:, off: off + t_len]
         symbols = model.latent_symbols(w)
         bs = codec.compress(symbols)
-        back = codec.decompress(bs)
-        if not np.array_equal(back, symbols):
+        if not np.array_equal(codec.decompress(bs), symbols):
             raise ContractError("lossless round-trip failed")
-        rec_a = model.decode(symbols.astype(np.float64)).data
-        rec_b = model.decode(back.astype(np.float64)).data
-        if rec_a.tobytes() != rec_b.tobytes():
-            raise ContractError("decoded reconstruction not byte-exact")
         raw = bs.to_bytes()
         blobs.append(raw)
         estimated_bits += model.density.rate_bits(
@@ -270,7 +265,7 @@ def cmd_sweep(args):
                                  cfg.model.channel_width, "ok"))
                     print(f"cell {model_type} p={p} seed={seed}: "
                           f"F1={report.best_f1:.6f}", flush=True)
-                except Exception as e:  # isolate cell failures
+                except LossyadError as e:  # isolate cell failures, not program bugs
                     failures.append((model_type, p, seed, str(e)))
                     rows.append((model_type, p, seed, "", "", "", "", "",
                                  f"error: {e}"))

@@ -10,7 +10,7 @@ class DimensionError(LossyadError, ValueError):
 
 
 class DomainError(LossyadError, ValueError):
-    """Input values outside the mathematical domain (log of <= 0, empty reductions, ...)."""
+    """Input values outside the mathematical domain (no channels, an undefined F1, ...)."""
 
 
 class ContractError(LossyadError, ValueError):

@@ -232,16 +232,18 @@ class TcnAutoencoder:
         return h
 
     def forward_train(self, x, rng):
-        """Training pass: noise-quantized and clean reconstructions plus rate."""
+        """Training pass with quantization noise drawn from rng as
+        i.i.d. Uniform(-1/2, 1/2), one value per latent dimension."""
         if not self.config.bottleneck_enabled:
             raise ContractError("forward_train requires the bottleneck; "
                                 "use ae_reconstruct for the baseline")
-        y = self.encode(x)
-        z = quantize(y, QuantizerMode.NOISE, rng)
-        return self.decode(z), self.decode(y), self.density.rate_bits(z)
+        noise = rng.uniform(-0.5, 0.5, size=self.config.latent_dim)
+        return self.forward_train_with_noise(x, noise)
 
     def forward_train_with_noise(self, x, noise):
-        """forward_train with the quantization noise pinned (for gradient checks)."""
+        """Noise-quantized and clean reconstructions plus the rate of the
+        noisy latent y + noise; the gradient of z = y + noise in y is the
+        identity."""
         y = self.encode(x)
         z = F.add(y, Tensor(noise))
         return self.decode(z), self.decode(y), self.density.rate_bits(z)

@@ -8,7 +8,7 @@ import pytest
 
 from lossyad.cli import main
 from lossyad.config import load_experiment, parse_experiment
-from lossyad.errors import ConfigError
+from lossyad.errors import ConfigError, NumericAbort
 
 
 def tiny_config(out_dir, **overrides):
@@ -217,6 +217,35 @@ class TestSweepAndSynth:
         assert all(r.endswith("ok") for r in data_rows)
         ae_rows = [r for r in data_rows if r.startswith("ae")]
         assert all(",0.0,0.0," in r for r in ae_rows)
+
+    def test_sweep_records_a_numeric_abort_as_an_error_row(self, tmp_path, monkeypatch):
+        import lossyad.cli as cli
+
+        def abort(corpus, config):
+            raise NumericAbort("loss diverged")
+
+        monkeypatch.setattr(cli, "fit", abort)
+        doc = tiny_config(tmp_path / "sweep")
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--fractions", "0",
+                     "--models", "rdo", "--seeds", "0",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
+        assert rows[-1].endswith("error: loss diverged")
+
+    def test_sweep_lets_a_program_bug_propagate(self, tmp_path, monkeypatch):
+        import lossyad.cli as cli
+
+        def bug(corpus, config):
+            raise RuntimeError("a bug, not a failed cell")
+
+        monkeypatch.setattr(cli, "fit", bug)
+        doc = tiny_config(tmp_path / "sweep")
+        cfg = write_config(tmp_path, doc)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["sweep", "--config", str(cfg), "--fractions", "0",
+                  "--models", "rdo", "--seeds", "0", "--out", str(tmp_path / "sweep")])
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
     def test_synth_writes_loadable_sets(self, tmp_path):
         doc = tiny_config(tmp_path / "syn")

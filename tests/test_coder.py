@@ -1,5 +1,6 @@
 """Range coder and bitstream tests: losslessness and rate consistency."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,24 @@ class TestRangeCoder:
         analytic_bits = float((-np.log2(probs[symbols])).sum())
         assert len(payload) * 8 <= analytic_bits * 1.01 + 64 * 8
         assert len(payload) * 8 >= analytic_bits  # cannot beat the entropy
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_decoder_reads_the_payload_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        probs = np.array([0.85, 0.1, 0.04, 0.009, 0.001])
+        table = quantize_pmf(probs[:-1], probs[-1])
+        symbols = rng.choice(5, size=int(rng.integers(0, 400)), p=probs)
+        enc = RangeEncoder()
+        for s in symbols:
+            enc.encode_symbol(table, int(s))
+        payload = enc.finish()
+        dec = RangeDecoder(payload)
+        assert [dec.decode_symbol(table) for _ in symbols] == list(symbols)
+        dec.finish()
+        with pytest.raises(ParseError):
+            dec = RangeDecoder(payload[:-1])
+            for _ in symbols:
+                dec.decode_symbol(table)
 
     def test_empty_message(self):
         _, out = roundtrip(np.full(4, TOTAL_FREQ // 4), [])
@@ -197,6 +216,28 @@ class TestLatentCodec:
         actual_bits = len(bs.to_bytes()) * 8
         assert actual_bits <= estimated * 1.01 + 64 * 8
         assert actual_bits / estimated >= 1.0
+
+    def test_forged_symbol_count_rejected_at_once(self, codec_setup):
+        # A 28-byte stream claiming 2^32 - 1 symbols over an empty payload.
+        _, codec = codec_setup
+        raw = (b"LYB1" + bytes([1]) + struct.pack("<IBHdI", 2 ** 32 - 1, 0, 8, 0.0, 0)
+               + struct.pack("<I", 0))
+        assert len(raw) == 28
+        bs = Bitstream.from_bytes(raw)
+        with pytest.raises(ParseError):
+            codec.decompress(bs)
+
+    def test_symbol_count_beyond_the_payload_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.array([0, 3, -12, 12, 40, -2, -77, 5]))
+        with pytest.raises(ParseError):
+            codec.decompress(replace(bs, n_symbols=10 ** 6))
+
+    def test_unread_payload_bytes_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.array([0, 3, -12, 12, 40, -2, -77, 5]))
+        with pytest.raises(ParseError):
+            codec.decompress(replace(bs, payload=bs.payload + b"\x00"))
 
     def test_payload_dominates_header(self, codec_setup):
         # Identity table-id scheme keeps the fixed header small.

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lossyad.numerics import RngState, Tensor, backward, functional as F
+from lossyad.model import TcnAutoencoder, TcnConfig
+from lossyad.numerics import RngState, Tensor, backward
 from lossyad.bottleneck import FactorizedDensity, QuantizerMode, quantize, round_half_away
 
 from oracles import finite_diff_grad, max_rel_error
@@ -51,6 +52,23 @@ class TestCumulative:
         assert np.all(cdf >= 0.0) and np.all(cdf <= 1.0)
 
 
+def toy_model():
+    return TcnAutoencoder(TcnConfig(input_channels=2, window_length=16, blocks=2,
+                                    channel_width=4, latent_dim=8), seed=1)
+
+
+def drawn_noise(rng, calls):
+    """The quantization noise forward_train draws from rng, `calls` times,
+    captured by stubbing the pass it hands the noise to."""
+    model = toy_model()
+    drawn = []
+    model.forward_train_with_noise = lambda x, noise: drawn.append(noise)
+    for _ in range(calls):
+        model.forward_train(None, rng)
+    assert all(d.shape == (8,) for d in drawn)
+    return np.concatenate(drawn)
+
+
 class TestQuantize:
     def test_round_half_away_from_zero(self):
         y = Tensor(np.array([1.4, -1.5, 1.5, -2.4, 0.0]))
@@ -58,30 +76,38 @@ class TestQuantize:
         np.testing.assert_array_equal(z.data, [1.0, -2.0, 2.0, -2.0, 0.0])
 
     def test_noise_support_bound(self):
-        rng = RngState(5)
-        y = Tensor(np.linspace(-3, 3, 1000))
-        z = quantize(y, QuantizerMode.NOISE, rng)
-        assert np.all(np.abs(z.data - y.data) <= 0.5)
+        noise = drawn_noise(RngState(5), 125)
+        assert np.all(np.abs(noise) <= 0.5)
 
     def test_noise_reproducible_with_fixed_seed(self):
-        y = Tensor(np.linspace(-3, 3, 64))
-        z1 = quantize(y, QuantizerMode.NOISE, RngState(17))
-        z2 = quantize(y, QuantizerMode.NOISE, RngState(17))
-        assert np.array_equal(z1.data, z2.data)
+        assert np.array_equal(drawn_noise(RngState(17), 8),
+                              drawn_noise(RngState(17), 8))
+        model = toy_model()
+        x = np.random.default_rng(0).normal(size=(2, 16))
+        drawn = model.forward_train(x, RngState(17))
+        pinned = model.forward_train_with_noise(
+            x, RngState(17).uniform(-0.5, 0.5, size=8))
+        for a, b in zip(drawn, pinned):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_noise_gradient_is_identity(self):
-        y = Tensor(np.ones(8), requires_grad=True)
-        z = quantize(y, QuantizerMode.NOISE, RngState(2))
-        backward(F.rsum(z))
-        np.testing.assert_array_equal(y.grad, np.ones(8))
+        model = toy_model()
+        rate_of = model.density.rate_bits
+        latents = []
+        model.density.rate_bits = lambda z: latents.append(z) or rate_of(z)
+        x = np.random.default_rng(1).normal(size=(2, 16))
+        _, _, rate = model.forward_train(x, RngState(2))
+        backward(rate)
+        (z,) = latents
+        y, noise = z._parents
+        np.testing.assert_array_equal(noise.data, RngState(2).uniform(-0.5, 0.5, size=8))
+        np.testing.assert_array_equal(y.grad, z.grad)
 
     def test_noise_mean_near_zero(self):
-        rng = RngState(11)
         n = 10 ** 5
-        y = Tensor(np.zeros(n))
-        z = quantize(y, QuantizerMode.NOISE, rng)
+        noise = drawn_noise(RngState(11), n // 8)
         sigma = 1.0 / np.sqrt(12.0 * n)
-        assert abs(float(np.mean(z.data - y.data))) < 3.0 * sigma
+        assert abs(float(np.mean(noise))) < 3.0 * sigma
 
 
 class TestLikelihood:
@@ -149,6 +175,47 @@ class TestRateBits:
             numeric = finite_diff_grad(lambda: loss().item(), p.data, h=1e-5)
             assert p.grad is not None
             assert max_rel_error(p.grad, numeric) < 1e-4
+
+    def test_rate_is_one_graph_node(self):
+        d = make_density(seed=10)
+        z = Tensor(np.array([0.4, -0.9, 1.1, 0.0]), requires_grad=True)
+        rate = d.rate_bits(z)
+        assert rate._parents == (z, *d.parameters())
+        assert all(p._backward_fn is None for p in rate._parents)
+
+    def test_values_build_no_graph(self):
+        d = make_density(seed=10)
+        z = Tensor(np.array([0.4, -0.9, 1.1, 0.0]), requires_grad=True)
+        for out in (d.likelihood(z), d.cumulative_grid(z)):
+            assert out._parents == () and not out.requires_grad
+
+    def test_floored_far_tail_gradient_points_to_the_mode(self):
+        # At |z| = 300 the likelihood is about 1e-14, below the 1e-9 floor,
+        # yet the gradient must still pull z back toward the mode.
+        d = make_density(seed=8)
+        z = Tensor(np.array([300.0, -300.0, 300.0, -300.0]), requires_grad=True)
+        np.testing.assert_array_equal(d.likelihood(z).data, d.likelihood_floor)
+        backward(d.rate_bits(z))
+        assert np.all(np.sign(z.grad) == np.sign(z.data))
+        for p in d.parameters():
+            assert np.all(np.isfinite(p.grad))
+
+    def test_gradient_is_zero_where_both_edges_agree(self):
+        # Both edge cumulatives are exactly equal when they underflow (far
+        # tail) or when a dimension's CDF is flat (its first matrix has a
+        # softplus of 0); such a dimension gets no gradient at all.
+        d = make_density()
+        z = Tensor(np.full(d.dims, 1e5), requires_grad=True)
+        backward(d.rate_bits(z))
+        np.testing.assert_array_equal(z.grad, np.zeros(d.dims))
+        d = make_density(seed=5)
+        d.matrices[0].data[0] = -800.0
+        z = Tensor(np.array([0.3, -0.2, 1.0, 0.0]), requires_grad=True)
+        np.testing.assert_array_equal(d.likelihood(z).data[0], d.likelihood_floor)
+        backward(d.rate_bits(z))
+        assert z.grad[0] == 0.0 and np.all(z.grad[1:] != 0.0)
+        for p in d.parameters():
+            np.testing.assert_array_equal(p.grad[0], 0.0)
 
     def test_per_column_rates_match_vector_rates(self):
         d = make_density(seed=12)
