@@ -10,7 +10,8 @@ class DimensionError(LossyadError, ValueError):
 
 
 class DomainError(LossyadError, ValueError):
-    """Input values outside the mathematical domain (no channels, an undefined F1, ...)."""
+    """Input values outside the mathematical domain (no channels, an undefined
+    F1, an empty mean, ...)."""
 
 
 class ContractError(LossyadError, ValueError):

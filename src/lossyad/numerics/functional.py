@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError, DimensionError
+from ..errors import ContractError, DimensionError, DomainError
 from .tensor import Tensor, as_tensor
 
 
@@ -83,6 +83,8 @@ def mse(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mse shapes disagree: {a.shape} vs {b.shape}")
+    if a.data.size == 0:
+        raise DomainError("mse of an empty tensor is undefined")
     diff = a.data - b.data
     n = diff.size
     out = Tensor(np.float64((diff * diff).sum() / n),

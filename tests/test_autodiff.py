@@ -23,6 +23,13 @@ def check_grad(build_loss, params, tol=1e-4, h=1e-5):
 
 
 class TestBackwardBasics:
+    def test_sum_of_parameter_gives_ones(self):
+        # linear with a row of ones is the sum of its input vector
+        p = Parameter(np.array([1.0, 2.0, 3.0]), "p")
+        loss = F.linear(p, Tensor(np.ones((1, 3))), Tensor(np.zeros(1)))
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, np.ones(3))
+
     def test_mse_hand_gradient(self):
         # d/dx mean((x - 0)^2) at x=[2] is 2x = 4
         p = Parameter(np.array([2.0]), "p")
@@ -72,6 +79,18 @@ class TestGradVsFiniteDifferences:
             return F.mse(F.causal_transposed_conv1d(x, w, b, dilation=2), target)
 
         check_grad(loss, [x, w, b])
+
+    def test_elementwise_chain(self):
+        rng = np.random.default_rng(13)
+        p = Parameter(rng.uniform(0.5, 2.0, size=(4,)), "p")
+        # 1.5 p + q is <= -2 or >= 1.25, so no entry sits near relu's kink
+        q = Parameter(np.array([-5.0, 0.5, -5.0, 0.5]), "q")
+        target = Tensor(rng.normal(size=4))
+
+        def loss():
+            return F.mse(F.relu(F.add(F.scale(p, 1.5), q)), target)
+
+        check_grad(loss, [p, q])
 
     def test_linear_and_reductions(self):
         rng = np.random.default_rng(14)

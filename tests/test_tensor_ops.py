@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from lossyad.errors import DimensionError
-from lossyad.numerics import Tensor, functional as F
+from lossyad.bottleneck import FactorizedDensity
+from lossyad.bottleneck.density import _sigmoid
+from lossyad.errors import DimensionError, DomainError
+from lossyad.numerics import RngState, Tensor, functional as F
 
 from oracles import conv_oracle, tconv_oracle
 
@@ -150,6 +152,36 @@ class TestElementwise:
     def test_add_rejects_broadcasting(self, shape):
         with pytest.raises(DimensionError):
             F.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(shape)))
+
+    # The density's CDF stack computes sigmoid, softplus and tanh itself.
+    def test_sigmoid_symmetry_point(self):
+        assert _sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_exp_log_roundtrip(self):
+        # matrices start at softplus^-1 = log(expm1(.)) of 1 / (scale * r_out)
+        d = FactorizedDensity(2, rng=RngState(0))
+        widths = (1,) + d.filters + (1,)
+        scale = d.init_scale ** (1.0 / (len(widths) - 1))
+        _, saved = d._logits(np.zeros((2, 1, 3)))
+        for (_, positive, _), r_out in zip(saved, widths[1:]):
+            np.testing.assert_allclose(positive, 1.0 / (scale * r_out), rtol=1e-14)
+
+    def test_softplus_positive_and_tanh_bounds(self):
+        x = np.linspace(-20, 20, 41)
+        d = FactorizedDensity(x.size, rng=RngState(0), filters=(1, 1))
+        for p in d.matrices + d.factors:
+            p.data[...] = x.reshape(-1, 1, 1)
+        _, saved = d._logits(np.broadcast_to(x, (x.size, 1, x.size)).copy())
+        for _, positive, ta in saved:
+            assert np.all(positive > 0)
+            if ta is not None:
+                assert np.all(np.abs(ta) < 1.0 + 1e-15)
+
+
+class TestReductions:
+    def test_empty_reduction_raises(self):
+        with pytest.raises(DomainError):
+            F.mse(Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
 
 def test_determinism_same_seed_same_outputs():
