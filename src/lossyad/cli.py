@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, LossyadError, NumericAbort
 from .config import load_experiment, parse_experiment
-from .data import build_training_corpus, load_series, synth_corpus, write_series_csv
+from .data import (build_training_corpus, load_series, synth_corpus, window,
+                   write_series_csv)
 from .detection import default_delta_grid
 from .evaluate import evaluate_one_shot, stream_series
 from .model import load_checkpoint, save_checkpoint
@@ -179,28 +180,25 @@ def cmd_compress(args):
     out = Path(args.out) if args.out else Path(args.checkpoint)
     out.mkdir(parents=True, exist_ok=True)
 
-    estimated_bits = 0.0
+    windows = window(series, t_len, t_len).windows
+    symbols = np.concatenate([model.latent_symbols(windows[part])
+                              for part in model.chunks(len(windows))])
+    estimated_bits = model.density.rate_bits(symbols.T.astype(np.float64)).item()
+    n_windows = len(symbols)
     actual_bytes = 0
     payload_bytes = 0
     escapes = 0
-    n_windows = 0
     blobs = []
-    for off in range(0, series.length - t_len + 1, t_len):
-        w = series.channels[:, off: off + t_len]
-        symbols = model.latent_symbols(w)
-        bs = codec.compress(symbols)
-        if not np.array_equal(codec.decompress(bs), symbols):
+    # latents.lyb holds one LYB1 stream per window
+    for sym in symbols:
+        bs = codec.compress(sym)
+        if not np.array_equal(codec.decompress(bs), sym):
             raise ContractError("lossless round-trip failed")
         raw = bs.to_bytes()
         blobs.append(raw)
-        estimated_bits += model.density.rate_bits(
-            symbols.astype(np.float64)).item()
         actual_bytes += len(raw)
         payload_bytes += len(bs.payload)
         escapes += len(bs.escapes)
-        n_windows += 1
-    if n_windows == 0:
-        raise ContractError("series shorter than one window")
 
     with open(out / "latents.lyb", "wb") as fh:
         fh.write(b"LYAR")

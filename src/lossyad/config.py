@@ -87,7 +87,9 @@ class ExperimentConfig:
 
     @property
     def hash(self):
-        return config_hash(self.raw)
+        """Hash of the experiment: the raw config without `output_dir`,
+        so one experiment written to two directories has one hash."""
+        return config_hash({k: v for k, v in self.raw.items() if k != "output_dir"})
 
     def model_type(self):
         return "rdo" if self.model.bottleneck_enabled else "ae"

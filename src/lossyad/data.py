@@ -222,6 +222,13 @@ def window_labels(series, batch, window_length=200):
     return [series.labels[o: o + window_length] for o in batch.offsets]
 
 
+def _label_counts(labels, starts, window_length):
+    """Labeled samples in labels[o: o + window_length] for each o in
+    `starts`, from one cumulative sum."""
+    csum = np.concatenate([[0], np.cumsum(labels)])
+    return csum[starts + window_length] - csum[starts]
+
+
 def build_training_corpus(sets, p, seed, window_length=200, stride=10,
                           n_validation=5, min_anomalous_fraction=0.0):
     """Assemble the unlabeled training corpus and the labeled validation split.
@@ -271,11 +278,12 @@ def build_training_corpus(sets, p, seed, window_length=200, stride=10,
                 normal_windows.append(s.channels[:, o: o + window_length])
                 normal_ids.append(s.set_id)
                 normal_offsets.append(o)
-        for o in range(0, s.length - window_length + 1, stride):
-            if int(s.labels[o: o + window_length].sum()) >= min_count:
-                anomalous_pool.append(s.channels[:, o: o + window_length])
-                pool_ids.append(s.set_id)
-                pool_offsets.append(o)
+        starts = np.arange(0, s.length - window_length + 1, stride)
+        counts = _label_counts(s.labels, starts, window_length)
+        for o in starts[counts >= min_count].tolist():
+            anomalous_pool.append(s.channels[:, o: o + window_length])
+            pool_ids.append(s.set_id)
+            pool_offsets.append(o)
 
     if not normal_windows:
         raise ContractError("no normal-prefix windows available for training")
@@ -354,9 +362,10 @@ def synth_corpus(config, seed):
     # keep every channel alive
     mixing += 0.2 * np.sign(mixing + 1e-12)
     sets = []
+    stamps = [str(i) for i in range(n)]
+    t = np.arange(n)
     for si in range(config.n_sets):
         rng = base.spawn(f"set{si}")
-        t = np.arange(n)
         freqs = corpus_freqs * rng.uniform(0.98, 1.02, size=m)
         phases = rng.uniform(0, 2 * np.pi, size=m)
         latents = np.sin(2 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
@@ -404,7 +413,7 @@ def synth_corpus(config, seed):
             placed += duration
         sets.append(LabeledSeries(
             set_id=f"synth-{si:02d}", channels=x,
-            timestamps=[str(i) for i in range(n)], labels=labels, clean=clean))
+            timestamps=list(stamps), labels=labels, clean=clean))
     return sets
 
 

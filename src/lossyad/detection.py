@@ -4,7 +4,9 @@ Single-window (1-shot) path: channel-scaled absolute reconstruction error,
 per-time maximum over channels, means over consecutive 10-sample subsets,
 strict thresholding. Streaming (multi-shot) path: per-time votes from
 stride-1 overlapping windows accumulate into a confidence score normalized
-by the number of windows that can have covered each instant.
+by the number of windows that can have covered each instant. The scoring
+functions take one (C, T) window or an (N, C, T) batch of them; a batch's
+results carry the same leading N axis.
 """
 
 from __future__ import annotations
@@ -20,35 +22,37 @@ DEFAULT_CS_LIMIT = 0.85
 
 
 def scaled_abs_error(x, x_hat, omega):
-    """Per-element omega_c * |x - x_hat|, shape (C, T)."""
+    """Per-element omega_c * |x - x_hat|, shape (C, T) or (N, C, T)."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    if x.shape != x_hat.shape or x.ndim != 2:
+    if x.shape != x_hat.shape or x.ndim not in (2, 3):
         raise DimensionError(f"shapes disagree: {x.shape} vs {x_hat.shape}")
-    if omega.shape != (x.shape[0],):
-        raise DimensionError(f"omega has shape {omega.shape}, expected ({x.shape[0]},)")
+    if omega.shape != (x.shape[-2],):
+        raise DimensionError(f"omega has shape {omega.shape}, expected ({x.shape[-2]},)")
     if np.any(omega <= 0):
         raise ContractError("omega must be positive")
     return omega[:, None] * np.abs(x - x_hat)
 
 
 def max_abs_error(scaled_err):
-    """Column-wise max over the channel axis, shape (T,)."""
+    """Max over the channel axis: (C, T) -> (T,), (N, C, T) -> (N, T)."""
     scaled_err = np.asarray(scaled_err, dtype=np.float64)
-    if scaled_err.ndim != 2 or scaled_err.shape[0] < 1:
+    if scaled_err.ndim not in (2, 3) or scaled_err.shape[-2] < 1:
         raise DomainError("need at least one channel")
-    return scaled_err.max(axis=0)
+    return scaled_err.max(axis=-2)
 
 
 def subset_means(max_err):
-    """Means over consecutive half-open blocks [k*s, (k+1)*s), s = SUBSET_SIZE."""
+    """Means over consecutive half-open blocks [k*s, (k+1)*s), s = SUBSET_SIZE,
+    of the last axis."""
     max_err = np.asarray(max_err, dtype=np.float64)
-    t_len = max_err.shape[0]
+    t_len = max_err.shape[-1]
     if t_len % SUBSET_SIZE != 0:
         raise ContractError(
             f"window length {t_len} not divisible by subset size {SUBSET_SIZE}")
-    return max_err.reshape(t_len // SUBSET_SIZE, SUBSET_SIZE).mean(axis=1)
+    return max_err.reshape(max_err.shape[:-1] + (t_len // SUBSET_SIZE,
+                                                 SUBSET_SIZE)).mean(axis=-1)
 
 
 def one_shot(means, delta):
@@ -59,13 +63,15 @@ def one_shot(means, delta):
 
 
 def expand_votes(votes):
-    """Per-subset decisions expanded to per-time votes (block-constant)."""
-    return np.repeat(np.asarray(votes, dtype=np.int64), SUBSET_SIZE)
+    """Per-subset decisions expanded to per-time votes (block-constant)
+    along the last axis."""
+    return np.repeat(np.asarray(votes, dtype=np.int64), SUBSET_SIZE, axis=-1)
 
 
 @dataclass
 class DetectionSeries:
-    """All per-window scores for one signal window."""
+    """All per-window scores for one signal window; a batch of windows
+    adds a leading N axis to every field."""
 
     scaled_err: np.ndarray   # (C, T)
     max_err: np.ndarray      # (T,)
@@ -75,7 +81,8 @@ class DetectionSeries:
 
 
 def score_window(x, x_hat, omega, delta):
-    """Run the full single-window pipeline."""
+    """Run the full single-window pipeline on a (C, T) window or an
+    (N, C, T) batch."""
     ae = scaled_abs_error(x, x_hat, omega)
     mae = max_abs_error(ae)
     means = subset_means(mae)
@@ -101,17 +108,24 @@ class ConfidenceStream:
         self.n_windows = 0
 
     def push(self, per_time_votes):
+        """Add the (T,) votes of the next window, or the (N, T) votes of
+        the next N stride-1 windows."""
         votes = np.asarray(per_time_votes, dtype=np.int64)
-        if votes.shape != (self.window_length,):
+        t_len = self.window_length
+        if votes.ndim not in (1, 2) or votes.shape[-1] != t_len:
             raise DimensionError(
-                f"votes have shape {votes.shape}, expected ({self.window_length},)")
-        end = self.n_windows + self.window_length
+                f"votes have shape {votes.shape}, expected ({t_len},) or (N, {t_len})")
+        votes = votes.reshape(-1, t_len)
+        n = votes.shape[0]
+        end = self.n_windows + n - 1 + t_len
         if end > self._sums.shape[0]:
             grown = np.zeros(max(end, 2 * self._sums.shape[0]), dtype=np.int64)
             grown[: self._sums.shape[0]] = self._sums
             self._sums = grown
-        self._sums[self.n_windows: end] += votes
-        self.n_windows += 1
+        # window k of the batch votes at times n_windows + k + [0, T)
+        times = self.n_windows + np.arange(n)[:, None] + np.arange(t_len)
+        np.add.at(self._sums, times, votes)
+        self.n_windows += n
 
     @property
     def n_times(self):

@@ -1,10 +1,15 @@
-"""Evaluation harness: single-window threshold sweeps and streaming scoring."""
+"""Evaluation harness: single-window threshold sweeps and streaming scoring.
+
+Both paths reconstruct their windows in (N, C, T) batches of the model's
+chunk size and score each batch in one call.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 from .detection import (
@@ -26,17 +31,15 @@ def window_scores(model, series, stride=None):
     stride = t_len if stride is None else stride
     batch = window(series, t_len, stride)
     labels = window_labels(series, batch, t_len)
-    means_list, labels_list, rows = [], [], []
-    for w, o, lab in zip(batch.windows, batch.offsets, labels):
-        x_hat = model.forward_eval(w).data
-        mae = max_abs_error(scaled_abs_error(w, x_hat, model.omega))
-        means = subset_means(mae)
-        means_list.append(means)
-        labels_list.append(lab)
-        sub_counts = lab.reshape(means.shape[0], -1).sum(axis=1)
-        for k, (m, cnt) in enumerate(zip(means, sub_counts)):
-            rows.append((series.set_id, o, k, float(m), int(cnt)))
-    return means_list, labels_list, rows
+    means = np.concatenate([
+        subset_means(max_abs_error(scaled_abs_error(
+            x, model.forward_eval(x).data, model.omega)))
+        for x in (batch.windows[part] for part in model.chunks(len(batch)))])
+    sub_counts = np.reshape(labels, means.shape + (-1,)).sum(axis=2)
+    rows = [(series.set_id, o, k, float(m), int(cnt))
+            for o, window_means, counts in zip(batch.offsets, means, sub_counts)
+            for k, (m, cnt) in enumerate(zip(window_means, counts))]
+    return list(means), labels, rows
 
 
 @dataclass
@@ -112,14 +115,21 @@ def stream_series(model, series, delta, cs_limit=0.85):
     stream = ConfidenceStream(window_length=t_len, limit=cs_limit)
     latest = np.zeros(series.length)
     disjoint_votes = np.zeros(series.length, dtype=np.int64)
-    for o in range(series.length - t_len + 1):
-        w = series.channels[:, o: o + t_len]
-        x_hat = model.forward_eval(w).data
-        det = score_window(w, x_hat, model.omega, delta)
+    # (n_windows, C, T) view of every stride-1 window, copied chunk by chunk
+    windows = sliding_window_view(series.channels, t_len, axis=1).swapaxes(0, 1)
+    for part in model.chunks(len(windows)):
+        x = np.ascontiguousarray(windows[part])
+        det = score_window(x, model.forward_eval(x).data, model.omega, delta)
         stream.push(det.per_time_votes)
-        latest[o: o + t_len] = det.max_err
-        if o % t_len == 0:
-            disjoint_votes[o: o + t_len] = det.per_time_votes
+        # time t's newest covering window in this chunk is min(t, last)
+        first, last = part.start, part.stop - 1
+        t = np.arange(first, last + t_len)
+        newest = np.minimum(t, last)
+        latest[first: last + t_len] = det.max_err[newest - first, t - newest]
+        # the disjoint windows (offsets that are multiples of T) tile time
+        o = first + (-first) % t_len
+        disjoint = det.per_time_votes[o - first:: t_len]
+        disjoint_votes[o: o + disjoint.size] = disjoint.reshape(-1)
     cs = stream.confidence()
     alarms = multi_shot(cs, cs_limit)
     labels = series.labels[: stream.n_times]

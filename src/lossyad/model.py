@@ -6,6 +6,11 @@ layer to a per-window latent. Decoder mirrors the encoder with transposed
 causal convolutions in reversed dilation order. A factorized density over
 the latent provides the rate estimate; a config flag bypasses the
 bottleneck entirely to recover the plain autoencoder baseline.
+
+Every pass takes a batch of N windows, (N, C, T), with (N, latent_dim)
+latents; one (C, T) window, with a (latent_dim,) latent, is the N = 1
+case and keeps its shapes. `TcnAutoencoder.chunks` splits a batch into the
+pieces that every batched caller runs one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ import numpy as np
 from .errors import ContractError, DimensionError, ParseError
 from .numerics import Parameter, RngState, Tensor, functional as F
 from .bottleneck import FactorizedDensity, LatentCodec, QuantizerMode, quantize
+
+# Activation elements (windows x channel_width x window_length) that one
+# batched call holds per layer. Memory, not speed, sets it: a training graph
+# keeps every layer's activations of its chunk alive until backward. At the
+# TcnConfig defaults (width 128, T 200) a chunk is one window; at width 8,
+# T 100 it is 16 windows, where 32 raised peak RSS by 14% for 8% more speed.
+CHUNK_ELEMENTS = 12_800
 
 
 @dataclass(frozen=True)
@@ -200,10 +212,18 @@ class TcnAutoencoder:
     def named_parameters(self):
         return {p.name: p for p in self._params}
 
+    def chunks(self, n):
+        """Consecutive slices of range(n), each at most CHUNK_ELEMENTS
+        activation elements of this model (at least one window)."""
+        per_window = self.config.channel_width * self.config.window_length
+        step = max(1, CHUNK_ELEMENTS // per_window)
+        return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
     def _check_input(self, x):
         expected = (self.config.input_channels, self.config.window_length)
-        if x.data.shape != expected:
-            raise DimensionError(f"input shape {x.data.shape}, expected {expected}")
+        if x.data.ndim not in (2, 3) or x.data.shape[-2:] != expected:
+            raise DimensionError(
+                f"input shape {x.data.shape}, expected {expected} or (N, *{expected})")
 
     def encoder_stack(self, x):
         """Conv stack activations before the latent linear layer."""
@@ -216,52 +236,62 @@ class TcnAutoencoder:
         return h
 
     def encode(self, x):
+        """(N, C, T) windows -> (N, latent_dim) latents; (C, T) -> (latent_dim,)."""
         h = self.encoder_stack(x)
         return F.linear(F.flatten(h), self.latent_w, self.latent_b)
 
     def decode(self, z):
+        """(N, latent_dim) latents -> (N, C, T) windows; (latent_dim,) -> (C, T)."""
         if not isinstance(z, Tensor):
             z = Tensor(z)
-        if z.data.shape != (self.config.latent_dim,):
+        if z.data.ndim not in (1, 2) or z.data.shape[-1] != self.config.latent_dim:
             raise DimensionError(
-                f"latent shape {z.data.shape}, expected ({self.config.latent_dim},)")
+                f"latent shape {z.data.shape}, expected (N, {self.config.latent_dim}) "
+                f"or ({self.config.latent_dim},)")
         h = F.reshape(F.linear(z, self.expand_w, self.expand_b),
-                      (self.config.channel_width, self.config.window_length))
+                      z.data.shape[:-1] + (self.config.channel_width,
+                                           self.config.window_length))
         for blk in self.decoder_blocks:
             h = blk.forward(h)
         return h
 
     def forward_train(self, x, rng):
         """Training pass with quantization noise drawn from rng as
-        i.i.d. Uniform(-1/2, 1/2), one value per latent dimension."""
+        i.i.d. Uniform(-1/2, 1/2), one value per window and latent
+        dimension, in one draw of shape (N, latent_dim)."""
         if not self.config.bottleneck_enabled:
             raise ContractError("forward_train requires the bottleneck; "
                                 "use ae_reconstruct for the baseline")
-        noise = rng.uniform(-0.5, 0.5, size=self.config.latent_dim)
+        lead = np.shape(x.data if isinstance(x, Tensor) else x)[:-2]
+        noise = rng.uniform(-0.5, 0.5, size=lead + (self.config.latent_dim,))
         return self.forward_train_with_noise(x, noise)
 
     def forward_train_with_noise(self, x, noise):
-        """Noise-quantized and clean reconstructions plus the rate of the
-        noisy latent y + noise; the gradient of z = y + noise in y is the
-        identity."""
+        """Noise-quantized and clean reconstructions plus the rate, in bits
+        summed over the batch, of the noisy latent y + noise; the gradient
+        of z = y + noise in y is the identity."""
         y = self.encode(x)
         z = F.add(y, Tensor(noise))
-        return self.decode(z), self.decode(y), self.density.rate_bits(z)
+        return (self.decode(z), self.decode(y),
+                self.density.rate_bits(F.transpose(z)))
 
     def ae_reconstruct(self, x):
         """Baseline path: latent fed straight to the decoder, no quantization."""
         return self.decode(self.encode(x))
 
     def forward_eval(self, x):
-        """Inference reconstruction (deterministic, no RNG consumed)."""
-        if self.config.bottleneck_enabled:
-            z = quantize(self.encode(x), QuantizerMode.ROUND)
-            return self.decode(z)
-        return self.ae_reconstruct(x)
+        """Inference reconstruction (deterministic, no RNG consumed, no graph)."""
+        with F.no_grad():
+            if self.config.bottleneck_enabled:
+                z = quantize(self.encode(x), QuantizerMode.ROUND)
+                return self.decode(z)
+            return self.ae_reconstruct(x)
 
     def latent_symbols(self, x):
-        """Integer (rounded) latent for entropy coding."""
-        z = quantize(self.encode(x), QuantizerMode.ROUND)
+        """Integer (rounded) latent for entropy coding, (N, latent_dim) or
+        (latent_dim,); builds no graph."""
+        with F.no_grad():
+            z = quantize(self.encode(x), QuantizerMode.ROUND)
         return z.data.astype(np.int64)
 
 

@@ -44,8 +44,12 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+            if self.grad.shape != self.data.shape:
+                raise ContractError(
+                    f"gradient of shape {self.grad.shape} for a {self.data.shape} tensor")
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -65,10 +69,14 @@ class Parameter(Tensor):
 
 
 def backward(loss):
-    """Populate .grad on every reachable tensor with requires_grad.
+    """Populate .grad on every reachable leaf tensor with requires_grad.
 
-    `loss` must be scalar. Repeated calls without zero_grad accumulate,
-    matching the usual reverse-mode convention.
+    `loss` must be scalar. Repeated calls on new graphs without zero_grad
+    accumulate, matching the usual reverse-mode convention. The pass
+    consumes the graph: once an op node's closure has passed its gradient
+    on, the node drops that gradient, the closure and its parent links, so
+    activations are freed as the pass goes and only leaves (parameters and
+    inputs) hold a gradient afterwards.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(
@@ -92,9 +100,13 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = None
+            node._parents = ()
 
 
 def as_tensor(x):

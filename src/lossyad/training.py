@@ -28,9 +28,12 @@ class LossWeights:
 
 
 def rdo_loss(x, x_hat, x_tilde, rate, weights):
-    """Rate-distortion training objective:
-    rate + lambda1 * MSE(x, x_hat) + lambda2 * MSE(x_hat, x_tilde)."""
-    loss = rate
+    """Rate-distortion training objective, the mean over the N windows of
+    an (N, C, T) batch (one (C, T) window is N = 1):
+    rate / N + lambda1 * MSE(x, x_hat) + lambda2 * MSE(x_hat, x_tilde),
+    where `rate` is the batch's total in bits."""
+    n_windows = x.shape[0] if len(x.shape) == 3 else 1
+    loss = F.scale(rate, 1.0 / n_windows)
     if weights.lambda1 != 0.0:
         loss = F.add(loss, F.scale(F.mse(x, x_hat), weights.lambda1))
     if weights.lambda2 != 0.0:
@@ -134,7 +137,8 @@ def fit(corpus, config):
     """Train a model on unlabeled windows.
 
     Runs seeded shuffled minibatches with additive-noise quantization and
-    Adam updates, logging the unscaled loss components per epoch. Keeps
+    Adam updates, logging the unscaled loss components per epoch. Each
+    minibatch runs in the model's chunks, one graph per chunk. Keeps
     the best-epoch parameters (by training loss) and the final converged
     channel normalizer. A non-finite loss aborts with the last finite
     report attached.
@@ -170,28 +174,27 @@ def fit(corpus, config):
             batch_idx = order[start: start + config.batch_size]
             residuals = []
             opt.zero_grad()
-            # Backward per window keeps no list of graphs alive; scaling each
-            # loss by 1 / batch size accumulates the minibatch-mean gradient.
-            for i in batch_idx:
-                x = windows[i]
+            # Backward per chunk keeps one graph alive at a time; weighting
+            # each chunk's mean loss by its share of the minibatch
+            # accumulates the minibatch-mean gradient.
+            for part in model.chunks(len(batch_idx)):
+                x = windows[batch_idx[part]]
                 if bottleneck:
                     x_hat, x_tilde, rate = model.forward_train(x, noise_rng)
                     loss = rdo_loss(Tensor(x), x_hat, x_tilde, rate, weights)
                     rate_sum += rate.item()
-                    d1_sum += float(np.mean((x - x_hat.data) ** 2))
-                    d2_sum += float(np.mean((x_hat.data - x_tilde.data) ** 2))
-                    residuals.append(x - x_hat.data)
+                    d2_sum += _window_mse_sum(x_hat.data, x_tilde.data)
                 else:
-                    recon = model.ae_reconstruct(x)
-                    loss = F.mse(Tensor(x), recon)
-                    d1_sum += loss.item()
-                    residuals.append(x - recon.data)
+                    x_hat = model.ae_reconstruct(x)
+                    loss = F.mse(Tensor(x), x_hat)
+                d1_sum += _window_mse_sum(x, x_hat.data)
+                residuals.append(x - x_hat.data)
                 if not np.isfinite(loss.item()):
                     raise NumericAbort(
                         f"non-finite loss in epoch {epoch}", last_report=report)
-                backward(F.scale(loss, 1.0 / len(batch_idx)))
+                backward(F.scale(loss, len(x) / len(batch_idx)))
             opt.step()
-            normalizer.update(np.stack(residuals))
+            normalizer.update(np.concatenate(residuals))
 
         rate_mean = rate_sum / n
         d1_mean = d1_sum / n
@@ -220,14 +223,19 @@ def fit(corpus, config):
     return model, report
 
 
+def _window_mse_sum(a, b):
+    """Sum over an (N, C, T) batch of each window's mean squared difference."""
+    return float(np.mean((a - b) ** 2, axis=(1, 2)).sum())
+
+
 def latent_support(model, windows, margin=2):
     """Per-dimension integer support of the rounded latents over a corpus,
     widened by `margin` on both sides (for the entropy codec's tables)."""
     windows = _as_window_array(windows)
     lo = np.full(model.config.latent_dim, np.iinfo(np.int64).max, dtype=np.int64)
     hi = np.full(model.config.latent_dim, np.iinfo(np.int64).min, dtype=np.int64)
-    for w in windows:
-        sym = model.latent_symbols(w)
-        lo = np.minimum(lo, sym)
-        hi = np.maximum(hi, sym)
+    for part in model.chunks(len(windows)):
+        sym = model.latent_symbols(windows[part])
+        lo = np.minimum(lo, sym.min(axis=0))
+        hi = np.maximum(hi, sym.max(axis=0))
     return lo - margin, hi + margin

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lossyad.cli import main
+from lossyad.cli import _load_config, build_parser, main
 from lossyad.config import load_experiment, parse_experiment
 from lossyad.errors import ConfigError, NumericAbort
 
@@ -99,6 +99,18 @@ class TestConfigValidation:
         shuffled = json.loads(json.dumps(doc))
         b = parse_experiment(shuffled)
         assert a.hash == b.hash
+
+    def test_hash_ignores_out_but_not_seed(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_config(tmp_path / "o"))
+
+        def hash_of(*extra):
+            args = build_parser().parse_args(["train", "--config", str(cfg), *extra])
+            return _load_config(args).hash
+
+        at_a = hash_of("--out", str(tmp_path / "a"))
+        assert hash_of("--out", str(tmp_path / "b")) == at_a
+        assert hash_of() == at_a
+        assert hash_of("--out", str(tmp_path / "a"), "--seed", "9") != at_a
 
 
 class TestTrain:

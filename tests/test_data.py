@@ -140,6 +140,25 @@ class TestCorpus:
                                         normal_prefix_fraction=0.5,
                                         anomaly_rate=0.25), seed=seed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cumulative_label_counts_give_the_loops_split(self, monkeypatch, seed):
+        """The split is byte-identical to the one built with one label sum
+        per window."""
+        import lossyad.data as data_mod
+
+        sets = self.make_sets(seed=seed)
+        kwargs = dict(p=0.2, seed=seed, window_length=100, stride=7,
+                      n_validation=2, min_anomalous_fraction=0.3)
+        fast = build_training_corpus(sets, **kwargs)
+        monkeypatch.setattr(data_mod, "_label_counts", lambda labels, starts, t: np.array(
+            [int(labels[o: o + t].sum()) for o in starts]))
+        loop = build_training_corpus(sets, **kwargs)
+        assert fast.achieved_fraction > 0.1
+        assert fast.train.windows.tobytes() == loop.train.windows.tobytes()
+        assert fast.train.source_ids == loop.train.source_ids
+        assert fast.train.offsets == loop.train.offsets
+        assert all(type(o) is int for o in fast.train.offsets)
+
     def test_p_zero_uses_only_normal_prefix(self):
         sets = self.make_sets()
         split = build_training_corpus(sets, p=0.0, seed=1, window_length=100,

@@ -95,13 +95,25 @@ class TestQuantize:
         rate_of = model.density.rate_bits
         latents = []
         model.density.rate_bits = lambda z: latents.append(z) or rate_of(z)
-        x = np.random.default_rng(1).normal(size=(2, 16))
+        x = np.random.default_rng(1).normal(size=(3, 2, 16))
         _, _, rate = model.forward_train(x, RngState(2))
-        backward(rate)
-        (z,) = latents
+        # the rate reads z transposed to (dims, N); z = y + noise
+        (z,) = latents[0]._parents
         y, noise = z._parents
-        np.testing.assert_array_equal(noise.data, RngState(2).uniform(-0.5, 0.5, size=8))
-        np.testing.assert_array_equal(y.grad, z.grad)
+        np.testing.assert_array_equal(
+            noise.data, RngState(2).uniform(-0.5, 0.5, size=(3, 8)))
+        # backward frees op-node gradients, so record what reaches y and z
+        reached = {}
+        for name, node in (("y", y), ("z", z)):
+            def spy(g, name=name, fn=node._backward_fn):
+                reached[name] = reached.get(name, 0.0) + g
+                fn(g)
+            node._backward_fn = spy
+        backward(rate)
+        assert y.grad is None and z.grad is None
+        # y also feeds the clean decode, which the rate does not reach
+        np.testing.assert_array_equal(reached["y"], reached["z"])
+        assert np.any(reached["z"] != 0.0)
 
     def test_noise_mean_near_zero(self):
         n = 10 ** 5

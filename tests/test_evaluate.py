@@ -3,7 +3,8 @@
 import numpy as np
 
 from lossyad.data import LabeledSeries
-from lossyad.detection import f1_score, score_window
+import lossyad.model as model_mod
+from lossyad.detection import ConfidenceStream, f1_score, score_window
 from lossyad.evaluate import stream_series
 from lossyad.model import TcnAutoencoder, TcnConfig
 
@@ -20,27 +21,44 @@ def labeled_series(n=137, seed=5):
 
 
 def test_stream_runs_one_forward_per_window_and_recounts_one_shot(monkeypatch):
+    """The windows stream_series hands to forward_eval, over all its
+    batches, are every stride-1 window exactly once, in offset order; its
+    scores recount window by window, whatever the chunk size."""
     cfg = TcnConfig(input_channels=2, window_length=T, blocks=2, channel_width=4,
                     latent_dim=4)
     model = TcnAutoencoder(cfg, seed=3)
     series = labeled_series()
-    calls = []
+    n_windows = series.length - T + 1
     forward_eval = model.forward_eval
 
-    def counting(x):
-        calls.append(1)
-        return forward_eval(x)
-
-    monkeypatch.setattr(model, "forward_eval", counting)
-    result = stream_series(model, series, delta=1.0)
-    n_windows = series.length - T + 1
-    assert len(calls) == n_windows
-
-    # 1-shot F1 of the disjoint windows, recounted window by window.
-    votes = np.zeros(n_windows + T - 1, dtype=np.int64)
-    for o in range(0, n_windows, T):
+    # window by window: votes, the newest window's max error, disjoint votes
+    stream = ConfidenceStream(window_length=T)
+    latest = np.zeros(series.length)
+    votes = np.zeros(series.length, dtype=np.int64)
+    for o in range(n_windows):
         w = series.channels[:, o: o + T]
         det = score_window(w, forward_eval(w).data, model.omega, 1.0)
-        votes[o: o + T] = det.per_time_votes
-    expected = f1_score(votes, series.labels[: n_windows + T - 1]).f1
-    assert result.one_shot_f1 == expected
+        stream.push(det.per_time_votes)
+        latest[o: o + T] = det.max_err
+        if o % T == 0:
+            votes[o: o + T] = det.per_time_votes
+    expected = f1_score(votes, series.labels).f1
+    every_window = np.stack([series.channels[:, o: o + T] for o in range(n_windows)])
+
+    for per_chunk in (1, 7, n_windows):
+        monkeypatch.setattr(model_mod, "CHUNK_ELEMENTS",
+                            per_chunk * cfg.channel_width * T)
+        passed = []
+
+        def recording(x):
+            passed.append(np.array(x))
+            return forward_eval(x)
+
+        monkeypatch.setattr(model, "forward_eval", recording)
+        result = stream_series(model, series, delta=1.0)
+        assert len(passed) == -(-n_windows // per_chunk)
+        assert sum(len(x) for x in passed) == n_windows
+        assert np.array_equal(np.concatenate(passed), every_window)
+        assert result.one_shot_f1 == expected
+        np.testing.assert_array_equal(result.confidence, stream.confidence())
+        np.testing.assert_allclose(result.latest_max_err, latest, rtol=0, atol=1e-12)
