@@ -1,11 +1,11 @@
 """Entropy bottleneck: factorized density, quantization, rate, real coding."""
 
 from .density import FactorizedDensity, QuantizerMode, quantize, round_half_away
-from .rangecoder import FrequencyTable, RangeDecoder, RangeEncoder, quantize_pmf
+from .rangecoder import FrequencyTable, quantize_pmf
 from .bitstream import Bitstream, LatentCodec
 
 __all__ = [
     "FactorizedDensity", "QuantizerMode", "quantize", "round_half_away",
-    "FrequencyTable", "RangeDecoder", "RangeEncoder", "quantize_pmf",
+    "FrequencyTable", "quantize_pmf",
     "Bitstream", "LatentCodec",
 ]

@@ -17,6 +17,11 @@ Layout (little-endian):
 Out-of-support values are coded through each table's escape slot; their raw
 values travel in the header side list and are re-inserted on decode, so any
 integer latent round-trips exactly.
+
+The codec is batched: numpy maps a (dims, n) batch to table slots and one
+`encode` / `decode` call codes it. `decompress` accepts only what `compress`
+writes, so `compress(decompress(b))` gives b back. `lossyad compress` writes
+a series' latents, window after window, as one stream (`latents.lyb`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from .rangecoder import RangeDecoder, RangeEncoder, quantize_pmf
+from .rangecoder import decode, encode, quantize_pmf
 
 MAGIC = b"LYB1"
 VERSION = 1
@@ -118,15 +123,19 @@ class LatentCodec:
             self.tables.append(quantize_pmf(pmf, tail))
             tail_bounds.append(tail)
         self.tail_bound = float(max(tail_bounds))
-
-    def escape_index(self, dim):
-        return len(self.tables[dim]) - 1
+        # Cumulative tables as int tuples for `decode`, and right-padded in
+        # one (dims, max alphabet + 1) array for compress's gathers.
+        self._cums = tuple(t.cum for t in self.tables)
+        width = max(map(len, self._cums))
+        self._cum = np.array([c + (0,) * (width - len(c)) for c in self._cums])
+        self._escape = hi - lo + 1  # each table's last slot
 
     def compress(self, symbols):
         """Encode an integer latent (dims,) or batch (dims, n) to a Bitstream."""
         symbols = np.asarray(symbols)
-        if not np.all(symbols == np.rint(symbols)):
-            raise ContractError("compress expects integer-valued latents")
+        if symbols.dtype.kind != "i" and not np.all(
+                (symbols == np.rint(symbols)) & (np.abs(symbols) < 2.0 ** 63)):
+            raise ContractError("compress expects integer-valued latents in int64 range")
         symbols = symbols.astype(np.int64)
         if symbols.ndim == 1:
             flat = symbols
@@ -137,47 +146,49 @@ class LatentCodec:
             flat = symbols.reshape(-1, order="F")
         else:
             raise ContractError("compress expects a vector or (dims, n) batch")
-        if flat.size and symbols.ndim == 1 and flat.size % self.dims != 0:
+        if flat.size % self.dims != 0:
             raise ContractError(
                 f"latent length {flat.size} is not a multiple of {self.dims}")
 
-        enc = RangeEncoder()
-        escapes = []
-        for j, v in enumerate(flat):
-            dim = j % self.dims
-            if self.lo[dim] <= v <= self.hi[dim]:
-                enc.encode_symbol(self.tables[dim], int(v - self.lo[dim]))
-            else:
-                enc.encode_symbol(self.tables[dim], self.escape_index(dim))
-                escapes.append(int(v))
-        return Bitstream(payload=enc.finish(), n_symbols=int(flat.size),
-                         n_tables=self.dims, tail_bound=self.tail_bound,
-                         escapes=escapes)
+        dim = np.arange(flat.size) % self.dims
+        lo = self.lo[dim]
+        inside = (flat >= lo) & (flat <= self.hi[dim])
+        idx = np.where(inside, flat - lo, self._escape[dim])
+        starts = self._cum[dim, idx]
+        freqs = self._cum[dim, idx + 1] - starts
+        return Bitstream(payload=encode(starts.tolist(), freqs.tolist()),
+                         n_symbols=int(flat.size), n_tables=self.dims,
+                         tail_bound=self.tail_bound,
+                         escapes=flat[~inside].tolist())
 
     def decompress(self, bitstream):
         """Exact inverse of compress; returns a flat int64 vector.
 
         Nothing is sized from the header's symbol count: decoding stops
         with a ParseError as soon as it needs a byte the payload lacks, and
-        a payload must be read to its end.
+        a payload must be read to its end. A stream compress would not
+        write is a ParseError too.
         """
         if bitstream.n_tables != self.dims:
             raise ParseError(f"bitstream uses {bitstream.n_tables} tables, "
                              f"codec has {self.dims}")
-        dec = RangeDecoder(bitstream.payload)
-        out = []
-        pending = iter(bitstream.escapes)
-        for j in range(bitstream.n_symbols):
-            dim = j % self.dims
-            idx = dec.decode_symbol(self.tables[dim])
-            if idx == self.escape_index(dim):
-                raw = next(pending, None)
-                if raw is None:
-                    raise ParseError("escape symbol without a raw value")
-                out.append(raw)
-            else:
-                out.append(int(self.lo[dim]) + idx)
-        dec.finish()
-        if next(pending, None) is not None:
-            raise ParseError("bitstream carries escape values no symbol uses")
-        return np.array(out, dtype=np.int64)
+        if bitstream.tail_bound != self.tail_bound:
+            raise ParseError(f"bitstream tail bound {bitstream.tail_bound!r} is not "
+                             f"the codec's {self.tail_bound!r}")
+        if bitstream.n_symbols % self.dims != 0:
+            raise ParseError(f"bitstream holds {bitstream.n_symbols} symbols, not "
+                             f"a multiple of {self.dims} dims")
+        idx = np.array(decode(bitstream.payload, self._cums, bitstream.n_symbols),
+                       dtype=np.int64)
+        dim = np.arange(idx.size) % self.dims
+        escaped = idx == self._escape[dim]
+        raw = np.array(bitstream.escapes, dtype=np.int64)
+        if raw.size != np.count_nonzero(escaped):
+            raise ParseError(f"bitstream carries {raw.size} escape values for "
+                             f"{np.count_nonzero(escaped)} escape symbols")
+        d = dim[escaped]
+        if np.any((raw >= self.lo[d]) & (raw <= self.hi[d])):
+            raise ParseError("bitstream escapes a value inside the support")
+        out = self.lo[dim] + idx
+        out[escaped] = raw
+        return out

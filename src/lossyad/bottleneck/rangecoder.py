@@ -4,9 +4,18 @@ Carry-free variant: the invariant low + range <= 2^32 is preserved by
 every shrink step, so emitted bytes are final. Frequencies in a table must
 sum to exactly 2^16 and every symbol must have frequency >= 1, which the
 pmf quantizer below guarantees.
+
+One call codes a whole stream in a loop over Python ints: `encode(starts,
+freqs)` takes each symbol's cumulative start and frequency, and
+`decode(payload, cums, n)` gives symbol j the cumulative table
+`cums[j % len(cums)]`. `decode` accepts exactly the payloads `encode`
+writes; any other payload is a ParseError.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate, cycle, islice
 
 import numpy as np
 
@@ -18,6 +27,7 @@ BOTTOM = 1 << (PRECISION - 16)
 MASK = (1 << PRECISION) - 1
 FREQ_BITS = 16
 TOTAL_FREQ = 1 << FREQ_BITS
+FLUSH_BYTES = PRECISION // 8
 
 
 class FrequencyTable:
@@ -33,7 +43,7 @@ class FrequencyTable:
             raise ContractError(
                 f"frequencies must sum to {TOTAL_FREQ}, got {int(freqs.sum())}")
         self.freqs = freqs
-        self.cum = np.concatenate([[0], np.cumsum(freqs)])
+        self.cum = tuple(accumulate(freqs.tolist(), initial=0))
 
     def __len__(self):
         return self.freqs.size
@@ -67,91 +77,75 @@ def quantize_pmf(pmf, tail_mass):
     return FrequencyTable(freqs)
 
 
-class RangeEncoder:
-    def __init__(self):
-        self._low = 0
-        self._range = MASK
-        self._out = bytearray()
-        self._finished = False
-
-    def encode_symbol(self, table, symbol):
-        cum_lo = int(table.cum[symbol])
-        freq = int(table.freqs[symbol])
-        r = self._range // TOTAL_FREQ
-        self._low += cum_lo * r
-        self._range = freq * r
-        self._normalize()
-
-    def _normalize(self):
+def encode(starts, freqs):
+    """Range-code one stream; symbol j covers [starts[j], starts[j] +
+    freqs[j]) of its table's 2^16 total. Both are sequences of Python ints."""
+    low, rng = 0, MASK
+    out = bytearray()
+    put = out.append
+    for start, freq in zip(starts, freqs):
+        r = rng >> FREQ_BITS
+        low += start * r
+        rng = freq * r
         while True:
-            if (self._low ^ (self._low + self._range)) < TOP:
+            if (low ^ (low + rng)) < TOP:
                 pass
-            elif self._range < BOTTOM:
+            elif rng < BOTTOM:
                 # Underflow: clamp range up to the next byte boundary.
-                self._range = ((1 << PRECISION) - self._low) & (BOTTOM - 1)
+                rng = ((1 << PRECISION) - low) & (BOTTOM - 1)
             else:
                 break
-            self._out.append((self._low >> (PRECISION - 8)) & 0xFF)
-            self._low = (self._low << 8) & MASK
-            self._range <<= 8
-
-    def finish(self):
-        if self._finished:
-            raise ContractError("encoder already finished")
-        self._finished = True
-        for _ in range(PRECISION // 8):
-            self._out.append((self._low >> (PRECISION - 8)) & 0xFF)
-            self._low = (self._low << 8) & MASK
-        return bytes(self._out)
+            put(low >> (PRECISION - 8))
+            low = (low << 8) & MASK
+            rng <<= 8
+    for _ in range(FLUSH_BYTES):
+        put(low >> (PRECISION - 8))
+        low = (low << 8) & MASK
+    return bytes(out)
 
 
-class RangeDecoder:
-    """Decoder of a RangeEncoder payload. A valid payload is read exactly
-    to its end and never past it: `_next_byte` raises ParseError on a byte
-    the payload does not hold, and `finish` on bytes left unread."""
-
-    def __init__(self, data):
-        self._data = data
-        self._pos = 0
-        self._low = 0
-        self._range = MASK
-        self._state = 0
-        for _ in range(PRECISION // 8):
-            self._state = (self._state << 8) | self._next_byte()
-
-    def _next_byte(self):
-        if self._pos >= len(self._data):
-            raise ParseError(f"range-coded payload ends after {len(self._data)} bytes")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
-
-    def finish(self):
-        if self._pos != len(self._data):
-            raise ParseError(f"range-coded payload has {len(self._data) - self._pos} "
-                             f"bytes no symbol uses")
-
-    def decode_symbol(self, table):
-        r = self._range // TOTAL_FREQ
-        target = (self._state - self._low) // r
+def decode(payload, cums, n):
+    """Decode n symbols of an `encode` payload; symbol j uses the cumulative
+    table cums[j % len(cums)], a tuple of Python ints starting at 0 and
+    ending at 2^16. Returns the symbol indices as a list of Python ints."""
+    size = len(payload)
+    if size < FLUSH_BYTES:
+        raise ParseError(f"range-coded payload ends after {size} bytes")
+    state = int.from_bytes(payload[:FLUSH_BYTES], "big")
+    pos = FLUSH_BYTES
+    low, rng = 0, MASK
+    out = []
+    put = out.append
+    for cum in islice(cycle(cums), n):
+        r = rng >> FREQ_BITS
+        target = (state - low) // r
         if target >= TOTAL_FREQ:
             target = TOTAL_FREQ - 1
-        symbol = int(np.searchsorted(table.cum, target, side="right")) - 1
-        cum_lo = int(table.cum[symbol])
-        freq = int(table.freqs[symbol])
-        self._low += cum_lo * r
-        self._range = freq * r
-        self._normalize()
-        return symbol
-
-    def _normalize(self):
+        s = bisect_right(cum, target) - 1
+        start = cum[s]
+        low += start * r
+        rng = (cum[s + 1] - start) * r
         while True:
-            if (self._low ^ (self._low + self._range)) < TOP:
+            if (low ^ (low + rng)) < TOP:
                 pass
-            elif self._range < BOTTOM:
-                self._range = ((1 << PRECISION) - self._low) & (BOTTOM - 1)
+            elif rng < BOTTOM:
+                rng = ((1 << PRECISION) - low) & (BOTTOM - 1)
             else:
                 break
-            self._state = ((self._state << 8) | self._next_byte()) & MASK
-            self._low = (self._low << 8) & MASK
-            self._range <<= 8
+            # The byte leaving the window is the one the encoder emitted from
+            # low; keeping them equal also keeps state >= low.
+            if (state ^ low) >= TOP:
+                raise ParseError(f"range-coded payload byte {pos - FLUSH_BYTES} "
+                                 f"disagrees with the decoded symbols")
+            if pos >= size:
+                raise ParseError(f"range-coded payload ends after {size} bytes")
+            state = ((state << 8) | payload[pos]) & MASK
+            pos += 1
+            low = (low << 8) & MASK
+            rng <<= 8
+        put(s)
+    # A payload ends with the final low: four bytes, and nothing after them.
+    if pos != size or state != low:
+        raise ParseError(f"range-coded payload of {size} bytes does not end "
+                         f"where its {len(out)} symbols do")
+    return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import struct
 import sys
 from pathlib import Path
 
@@ -182,30 +181,18 @@ def cmd_compress(args):
 
     windows = window(series, t_len, t_len).windows
     symbols = np.concatenate([model.latent_symbols(windows[part])
-                              for part in model.chunks(len(windows))])
-    estimated_bits = model.density.rate_bits(symbols.T.astype(np.float64)).item()
-    n_windows = len(symbols)
-    actual_bytes = 0
-    payload_bytes = 0
-    escapes = 0
-    blobs = []
-    # latents.lyb holds one LYB1 stream per window
-    for sym in symbols:
-        bs = codec.compress(sym)
-        if not np.array_equal(codec.decompress(bs), sym):
-            raise ContractError("lossless round-trip failed")
-        raw = bs.to_bytes()
-        blobs.append(raw)
-        actual_bytes += len(raw)
-        payload_bytes += len(bs.payload)
-        escapes += len(bs.escapes)
-
-    with open(out / "latents.lyb", "wb") as fh:
-        fh.write(b"LYAR")
-        fh.write(struct.pack("<I", n_windows))
-        for raw in blobs:
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+                              for part in model.chunks(len(windows))]).T
+    estimated_bits = model.density.rate_bits(symbols.astype(np.float64)).item()
+    n_windows = symbols.shape[1]
+    # latents.lyb is one LYB1 stream: the (dims, n_windows) latents, window
+    # after window
+    bs = codec.compress(symbols)
+    if not np.array_equal(codec.decompress(bs), symbols.reshape(-1, order="F")):
+        raise ContractError("lossless round-trip failed")
+    raw = bs.to_bytes()
+    (out / "latents.lyb").write_bytes(raw)
+    actual_bytes = len(raw)
+    escapes = len(bs.escapes)
     stats = {
         "config_hash": cfg.hash,
         "set_id": series.set_id,
@@ -213,7 +200,7 @@ def cmd_compress(args):
         "symbols": n_windows * model.config.latent_dim,
         "estimated_bits": estimated_bits,
         "actual_bytes": actual_bytes,
-        "payload_bytes": payload_bytes,
+        "payload_bytes": len(bs.payload),
         "actual_over_estimated": (8.0 * actual_bytes) / max(estimated_bits, 1e-9),
         "escape_symbols": escapes,
         "lossless": True,

@@ -10,6 +10,7 @@ maximal prefix before its first anomalous label.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -96,8 +97,8 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
 
     Feature columns are every non-label, non-timestamp column, in header
     order. The first entry of label_columns is the anomaly label; the rest
-    are recognized and dropped. Malformed content raises ParseError with
-    the offending line number.
+    are recognized and dropped. Malformed content, a nan or inf cell
+    included, raises ParseError with the offending line number.
     """
     path = str(path)
     label_columns = tuple(label_columns)
@@ -133,13 +134,13 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
                     f"{path}:{lineno}: ragged row with {len(raw)} cells, "
                     f"expected {len(header)}")
             try:
-                rows.append([float(raw[i]) for i in feature_idx])
+                rows.append([_finite_float(raw[i]) for i in feature_idx])
             except ValueError:
                 bad = next(i for i in feature_idx
-                           if not _is_float(raw[i]))
+                           if not _is_finite_float(raw[i]))
                 raise ParseError(
-                    f"{path}:{lineno}: non-numeric value {raw[bad]!r} "
-                    f"in column {header[bad]!r}") from None
+                    f"{path}:{lineno}: value {raw[bad]!r} in column "
+                    f"{header[bad]!r} is not a finite number") from None
             label_raw = raw[anomaly_idx].strip()
             try:
                 label_val = float(label_raw)
@@ -148,7 +149,8 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
                     f"{path}:{lineno}: non-numeric label {label_raw!r}") from None
             if label_val not in (0.0, 1.0):
                 raise ParseError(
-                    f"{path}:{lineno}: label must be 0 or 1, got {label_raw!r}")
+                    f"{path}:{lineno}: label in column {anomaly_col!r} must be "
+                    f"0 or 1, got {label_raw!r}")
             labels.append(int(label_val))
             timestamps.append(raw[ts_idx] if ts_idx is not None else str(lineno - 2))
 
@@ -162,10 +164,17 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
     return series
 
 
-def _is_float(s):
+def _finite_float(s):
+    """float(s), raising ValueError on nan and +-inf as well."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {s!r}")
+    return v
+
+
+def _is_finite_float(s):
     try:
-        float(s)
-        return True
+        return math.isfinite(float(s))
     except ValueError:
         return False
 

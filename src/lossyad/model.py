@@ -397,4 +397,7 @@ def _model_from_manifest(manifest, blob):
         codec = LatentCodec(model.density,
                             np.asarray(dt["support_lo"], dtype=np.int64),
                             np.asarray(dt["support_hi"], dtype=np.int64))
+        if dt["frequencies"] != [t.freqs.tolist() for t in codec.tables]:
+            raise ParseError("density_tables.frequencies differ from the tables "
+                             "the checkpoint's density gives")
     return model, codec

@@ -103,3 +103,28 @@ def confidence_oracle(window_votes, t_len, window_len):
         kappa = 1.0 / min(t, window_len)
         cs[t - 1] = kappa * total
     return cs
+
+
+def range_encode_oracle(tables, symbols):
+    """Per-symbol carry-free range encoder: 32-bit low/range, 16-bit
+    frequency tables, symbol j coded under tables[j % len(tables)]."""
+    low, rng, out = 0, 2 ** 32 - 1, bytearray()
+    for j, s in enumerate(symbols):
+        freqs = [int(f) for f in tables[j % len(tables)].freqs]
+        r = rng // 2 ** 16
+        low += sum(freqs[:s]) * r
+        rng = freqs[s] * r
+        while True:
+            if low // 2 ** 24 == (low + rng) // 2 ** 24:
+                pass  # top byte settled
+            elif rng < 2 ** 16:
+                rng = (2 ** 32 - low) % 2 ** 16  # underflow: clamp to the boundary
+            else:
+                break
+            out.append(low // 2 ** 24)
+            low = low * 256 % 2 ** 32
+            rng *= 256
+    for _ in range(4):
+        out.append(low // 2 ** 24)
+        low = low * 256 % 2 ** 32
+    return bytes(out)

@@ -1,12 +1,16 @@
 """End-to-end CLI tests on a tiny synthetic experiment."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lossyad.cli import _load_config, build_parser, main
+from lossyad.bottleneck import Bitstream
+from lossyad.cli import _assemble_split, _load_config, build_parser, main
+from lossyad.data import window
+from lossyad.model import load_checkpoint
 from lossyad.config import load_experiment, parse_experiment
 from lossyad.errors import ConfigError, NumericAbort
 
@@ -212,7 +216,34 @@ class TestStreamAndCompress:
         assert stats["lossless"] is True
         assert stats["windows"] >= 1
         assert stats["actual_bytes"] > 0
-        assert (dest / "latents.lyb").read_bytes()[:4] == b"LYAR"
+        assert (dest / "latents.lyb").read_bytes()[:4] == b"LYB1"
+
+    def test_edited_codec_frequency_is_data_error(self, trained, tmp_path):
+        cfg_path, out = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(out, ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        freqs = manifest["density_tables"]["frequencies"][0]
+        freqs[0], freqs[1] = freqs[0] + 1, freqs[1] - 1
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["compress", "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path / "comp")]) == 3
+
+    def test_latents_read_back_as_the_disjoint_windows(self, trained, tmp_path):
+        cfg_path, out = trained
+        dest = tmp_path / "comp"
+        assert main(["compress", "--config", str(cfg_path), "--checkpoint",
+                     str(out), "--out", str(dest)]) == 0
+        model, _, codec = load_checkpoint(out)
+        _, split = _assemble_split(load_experiment(cfg_path))
+        t_len = model.config.window_length
+        windows = window(split.validation[0], t_len, t_len).windows
+        raw = (dest / "latents.lyb").read_bytes()
+        stats = json.loads((dest / "compress_stats.json").read_text())
+        assert stats["actual_bytes"] == len(raw)
+        assert stats["windows"] == len(windows)
+        back = codec.decompress(Bitstream.from_bytes(raw))
+        assert np.array_equal(back, model.latent_symbols(windows).reshape(-1))
 
 
 class TestSweepAndSynth:
@@ -279,6 +310,19 @@ class TestSweepAndSynth:
         code = main(["stream", "--config", str(cfg), "--checkpoint", str(out),
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    def test_non_finite_csv_cell_is_data_error(self, trained, tmp_path, capsys):
+        _, out = trained
+        rows = "".join(f"t{t},{t % 3}.0,1.0,0.5,0\n" for t in range(60))
+        csv = tmp_path / "bad.csv"
+        csv.write_text("datetime,a,b,c,anomaly\n" + rows + "t60,1.0,nan,0.5,0\n")
+        doc = tiny_config(tmp_path / "x")
+        doc["data"] = {"source": "csv", "paths": [str(csv)]}
+        cfg = write_config(tmp_path, doc)
+        code = main(["stream", "--config", str(cfg), "--checkpoint", str(out),
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "bad.csv:62: value 'nan' in column 'b'" in capsys.readouterr().err
 
     def test_unknown_set_id_is_data_error(self, trained, tmp_path):
         cfg_path, out = trained

@@ -1,29 +1,31 @@
 """Range coder and bitstream tests: losslessness and rate consistency."""
 
+import hashlib
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lossyad.errors import ContractError, ParseError
 from lossyad.numerics import RngState, Tensor
 from lossyad.bottleneck import (
-    Bitstream, FactorizedDensity, FrequencyTable, LatentCodec,
-    RangeDecoder, RangeEncoder, quantize_pmf,
+    Bitstream, FactorizedDensity, FrequencyTable, LatentCodec, quantize_pmf,
 )
-from lossyad.bottleneck.rangecoder import TOTAL_FREQ
+from lossyad.bottleneck.rangecoder import TOTAL_FREQ, decode, encode
+from oracles import range_encode_oracle
+
+
+def encode_with(table, symbols):
+    return encode([table.cum[s] for s in symbols],
+                  [int(table.freqs[s]) for s in symbols])
 
 
 def roundtrip(freqs, symbols):
     table = FrequencyTable(freqs)
-    enc = RangeEncoder()
-    for s in symbols:
-        enc.encode_symbol(table, int(s))
-    payload = enc.finish()
-    dec = RangeDecoder(payload)
-    out = [dec.decode_symbol(table) for _ in symbols]
-    return payload, out
+    payload = encode_with(table, symbols)
+    return payload, decode(payload, [table.cum], len(symbols))
 
 
 class TestRangeCoder:
@@ -39,21 +41,13 @@ class TestRangeCoder:
         probs = np.array([0.85, 0.1, 0.04, 0.009, 0.001])
         table = quantize_pmf(probs[:-1], probs[-1])
         symbols = rng.choice(5, size=8000, p=probs)
-        enc = RangeEncoder()
-        for s in symbols:
-            enc.encode_symbol(table, int(s))
-        payload = enc.finish()
-        dec = RangeDecoder(payload)
-        out = [dec.decode_symbol(table) for _ in symbols]
-        assert np.array_equal(out, symbols)
+        payload = encode_with(table, symbols)
+        assert np.array_equal(decode(payload, [table.cum], len(symbols)), symbols)
 
     def test_degenerate_pmf_codes_to_near_nothing(self):
         # All mass on one symbol: payload should be just the flush bytes.
         table = quantize_pmf(np.array([1.0]), 0.0)
-        enc = RangeEncoder()
-        for _ in range(10000):
-            enc.encode_symbol(table, 0)
-        payload = enc.finish()
+        payload = encode_with(table, [0] * 10000)
         assert len(payload) <= 16
 
     def test_coded_length_tracks_entropy(self):
@@ -62,10 +56,7 @@ class TestRangeCoder:
         table = quantize_pmf(probs[:-1], probs[-1])
         n = 20000
         symbols = rng.choice(5, size=n, p=probs)
-        enc = RangeEncoder()
-        for s in symbols:
-            enc.encode_symbol(table, int(s))
-        payload = enc.finish()
+        payload = encode_with(table, symbols)
         analytic_bits = float((-np.log2(probs[symbols])).sum())
         assert len(payload) * 8 <= analytic_bits * 1.01 + 64 * 8
         assert len(payload) * 8 >= analytic_bits  # cannot beat the entropy
@@ -76,17 +67,11 @@ class TestRangeCoder:
         probs = np.array([0.85, 0.1, 0.04, 0.009, 0.001])
         table = quantize_pmf(probs[:-1], probs[-1])
         symbols = rng.choice(5, size=int(rng.integers(0, 400)), p=probs)
-        enc = RangeEncoder()
-        for s in symbols:
-            enc.encode_symbol(table, int(s))
-        payload = enc.finish()
-        dec = RangeDecoder(payload)
-        assert [dec.decode_symbol(table) for _ in symbols] == list(symbols)
-        dec.finish()
-        with pytest.raises(ParseError):
-            dec = RangeDecoder(payload[:-1])
-            for _ in symbols:
-                dec.decode_symbol(table)
+        payload = encode_with(table, symbols)
+        assert decode(payload, [table.cum], len(symbols)) == list(symbols)
+        for bad in (payload[:-1], payload + b"\x00"):
+            with pytest.raises(ParseError):
+                decode(bad, [table.cum], len(symbols))
 
     def test_empty_message(self):
         _, out = roundtrip(np.full(4, TOTAL_FREQ // 4), [])
@@ -96,6 +81,32 @@ class TestRangeCoder:
         for s in range(4):
             _, out = roundtrip(np.full(4, TOTAL_FREQ // 4), [s])
             assert out == [s]
+
+    def test_changed_flush_bytes_rejected(self):
+        # Only the payload the encoder writes decodes: the last bytes must
+        # be the encoder's final low.
+        table = FrequencyTable(np.full(4, TOTAL_FREQ // 4))
+        payload = encode_with(table, [0, 1, 2, 3] * 50)
+        for pos in range(len(payload) - 4, len(payload)):
+            bad = bytearray(payload)
+            bad[pos] ^= 0x01
+            with pytest.raises(ParseError):
+                decode(bytes(bad), [table.cum], 200)
+
+
+# A table is a set of cut points inside (0, 2^16): every frequency >= 1.
+tables = st.lists(st.integers(1, TOTAL_FREQ - 1), unique=True, max_size=40).map(
+    lambda cuts: FrequencyTable(np.diff([0, *sorted(cuts), TOTAL_FREQ])))
+
+
+@given(st.lists(tables, min_size=1, max_size=4),
+       st.lists(st.integers(0, 2 ** 16), max_size=300))
+def test_random_tables_and_symbols_round_trip(tabs, draws):
+    symbols = [d % len(tabs[j % len(tabs)]) for j, d in enumerate(draws)]
+    payload = encode([tabs[j % len(tabs)].cum[s] for j, s in enumerate(symbols)],
+                     [int(tabs[j % len(tabs)].freqs[s]) for j, s in enumerate(symbols)])
+    assert payload == range_encode_oracle(tabs, symbols)
+    assert decode(payload, [t.cum for t in tabs], len(symbols)) == symbols
 
 
 class TestFrequencyTable:
@@ -198,6 +209,13 @@ class TestLatentCodec:
         with pytest.raises(ContractError):
             codec.compress(np.full(8, 0.25))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e20])
+    def test_value_int64_cannot_hold_rejected(self, codec_setup, value):
+        # Cast to int64, inf and 1e20 would code as -2^63.
+        _, codec = codec_setup
+        with pytest.raises(ContractError):
+            codec.compress(np.full(8, value))
+
     def test_coded_length_vs_density_estimate(self, codec_setup):
         # Draw symbols from each dimension's own model so the cross-entropy
         # identity applies, then compare actual bytes against the analytic
@@ -246,3 +264,87 @@ class TestLatentCodec:
         bs = codec.compress(vec)
         header = len(bs.to_bytes()) - len(bs.payload)
         assert header <= 64
+
+    def test_pinned_payload_bytes(self, codec_setup):
+        # The coded bytes of a fixed batch, 977 of whose 2400 symbols are
+        # escapes, recorded before the coder became one loop per stream.
+        _, codec = codec_setup
+        batch = np.random.default_rng(14).integers(-20, 21, size=(8, 300))
+        bs = codec.compress(batch)
+        raw = bs.to_bytes()
+        assert len(bs.escapes) == 977
+        assert hashlib.sha256(raw).hexdigest() == \
+            "d50a5790c0a3d5f1d29fbf6603806dda5a419fa1d01a6ab0e10a6bbc4b1e7c86"
+        assert np.array_equal(codec.decompress(Bitstream.from_bytes(raw)),
+                              batch.reshape(-1, order="F"))
+
+    def test_compress_matches_the_per_symbol_oracle(self, codec_setup):
+        _, codec = codec_setup
+        flat = np.random.default_rng(7).integers(-16, 17, size=8 * 400)
+        inside = (flat >= -12) & (flat <= 12)
+        index = np.where(inside, flat + 12, 25)
+        bs = codec.compress(flat)
+        assert bs.payload == range_encode_oracle(codec.tables, index.tolist())
+        assert bs.escapes == flat[~inside].tolist()
+
+    def test_other_tail_bound_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.zeros(8, dtype=np.int64))
+        with pytest.raises(ParseError, match="tail bound"):
+            codec.decompress(replace(bs, tail_bound=bs.tail_bound * 2))
+
+    def test_partial_latent_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.zeros(8, dtype=np.int64))
+        with pytest.raises(ParseError, match="multiple"):
+            codec.decompress(replace(bs, n_symbols=7))
+
+    def test_escaped_value_inside_support_rejected(self, codec_setup):
+        _, codec = codec_setup
+        bs = codec.compress(np.array([0, 3, -12, 12, 40, -2, -77, 5]))
+        with pytest.raises(ParseError, match="inside the support"):
+            codec.decompress(replace(bs, escapes=[40, 3]))
+
+    def test_every_truncation_and_bit_flip_rejected_or_exact(self, codec_setup):
+        _, codec = codec_setup
+        raw = fuzz_base(codec)
+        for n in range(len(raw)):
+            assert_rejected_or_exact(codec, raw[:n])
+        for pos in range(len(raw)):
+            for bit in range(8):
+                bad = bytearray(raw)
+                bad[pos] ^= 1 << bit
+                assert_rejected_or_exact(codec, bytes(bad))
+
+
+def fuzz_base(codec):
+    batch = np.random.default_rng(6).integers(-16, 17, size=(8, 6))
+    bs = codec.compress(batch)
+    assert 0 < len(bs.escapes) < batch.size
+    return bs.to_bytes()
+
+
+def assert_rejected_or_exact(codec, raw):
+    """raw is either a ParseError or a stream compress writes for the
+    values it decodes to."""
+    try:
+        out = codec.decompress(Bitstream.from_bytes(raw))
+    except ParseError:
+        return
+    assert codec.compress(out).to_bytes() == raw
+
+
+@given(st.data())
+def test_mutated_bitstream_rejected_or_exact(codec_setup, data):
+    _, codec = codec_setup
+    raw = bytearray(fuzz_base(codec))
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1,
+                                      max_size=4)):
+            raw[pos] ^= data.draw(st.integers(1, 255))
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    assert_rejected_or_exact(codec, bytes(raw))

@@ -43,6 +43,20 @@ class TestLoadSeries:
         with pytest.raises(ParseError, match="bad.csv:3"):
             load_series(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_feature_reports_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"datetime,ch0,ch1,anomaly\nt0,1.0,2.0,0\nt1,1.0,{cell},0\n")
+        with pytest.raises(ParseError, match=r"bad.csv:3: value .* column 'ch1'"):
+            load_series(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_label_reports_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"datetime,ch0,anomaly\nt0,1.0,0\nt1,1.0,{cell}\n")
+        with pytest.raises(ParseError, match=r"bad.csv:3: label in column 'anomaly'"):
+            load_series(p)
+
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("datetime,ch0,anomaly\nt0,1.0,0\nt1,1.0\n")

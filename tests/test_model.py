@@ -253,6 +253,18 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path)
 
+    def test_edited_codec_frequency_rejected(self, tmp_path):
+        m = TcnAutoencoder(toy_config(), seed=21)
+        save_checkpoint(m, tmp_path, codec_support=(np.full(8, -9), np.full(8, 9)))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        freqs = manifest["density_tables"]["frequencies"][2]
+        freqs[0] += 1
+        freqs[-1] -= 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="frequencies"):
+            load_checkpoint(tmp_path)
+
     def test_same_seed_same_init(self):
         m1 = TcnAutoencoder(toy_config(), seed=19)
         m2 = TcnAutoencoder(toy_config(), seed=19)
