@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ContractError, ParseError
-from .rangecoder import decode, encode, quantize_pmf
+from .rangecoder import TOTAL_FREQ, decode, encode, quantize_pmf
 
 MAGIC = b"LYB1"
 VERSION = 1
@@ -107,19 +107,23 @@ class LatentCodec:
             raise ContractError("support bounds must be per-dimension vectors")
         if np.any(hi < lo):
             raise ContractError("empty support for some dimension")
+        # a dim's alphabet, its support plus the escape slot, is also the
+        # number of its CDF edges lo-1/2 .. hi+1/2; checked against
+        # quantize_pmf's table limit before the grid is sized from it
+        sizes = [h - l + 2 for l, h in zip(lo.tolist(), hi.tolist())]
+        if max(sizes) >= TOTAL_FREQ:
+            raise ContractError(f"alphabet of {max(sizes)} symbols is too large "
+                                f"for 16-bit tables")
         self.dims = density.dims
         self.lo = lo
         self.hi = hi
-        glo, ghi = int(lo.min()), int(hi.max())
-        edges = np.arange(glo, ghi + 2, dtype=np.float64) - 0.5
-        grid = np.broadcast_to(edges, (density.dims, edges.size)).copy()
-        cdf = density.cumulative_grid(grid).data
+        # row i holds dim i's edges, right-padded to the largest alphabet
+        cdf = density.cumulative_grid(lo[:, None] + np.arange(max(sizes)) - 0.5).data
         self.tables = []
         tail_bounds = []
-        for i in range(density.dims):
-            a, b = int(lo[i]) - glo, int(hi[i]) - glo
-            pmf = np.maximum(np.diff(cdf[i, a: b + 2]), 0.0)
-            tail = max(float(cdf[i, a] + (1.0 - cdf[i, b + 1])), 0.0)
+        for i, n in enumerate(sizes):
+            pmf = np.maximum(np.diff(cdf[i, :n]), 0.0)
+            tail = max(float(cdf[i, 0] + (1.0 - cdf[i, n - 1])), 0.0)
             self.tables.append(quantize_pmf(pmf, tail))
             tail_bounds.append(tail)
         self.tail_bound = float(max(tail_bounds))

@@ -12,8 +12,6 @@ are plain numpy evaluations that build no graph.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from ..errors import ContractError, DimensionError
@@ -22,23 +20,17 @@ from ..numerics import Parameter, Tensor
 LOG2 = float(np.log(2.0))
 
 
-class QuantizerMode(Enum):
-    ROUND = "round"
-
-
 def round_half_away(values):
     """Round half away from zero: 1.5 -> 2, -1.5 -> -2 (plain np.round ties to even)."""
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
-def quantize(y, mode):
+def quantize(y):
     """Quantize a latent tensor for inference: deterministic
     round-half-away-from-zero with no gradient path. (Training adds
     Uniform(-1/2, 1/2) noise instead; see TcnAutoencoder.forward_train.)
     """
-    if mode is QuantizerMode.ROUND:
-        return Tensor(round_half_away(y.data))
-    raise ContractError(f"unknown quantizer mode {mode!r}")
+    return Tensor(round_half_away(y.data))
 
 
 def _sigmoid(x):
@@ -54,21 +46,22 @@ def _sigmoid(x):
 class FactorizedDensity:
     """Independent per-dimension CDF stack with a likelihood floor.
 
-    filters gives the hidden layer widths; the full stack is
-    (1, *filters, 1). init_scale sets the initial width of the modeled
-    densities (the composed stack starts as roughly sigmoid(u/init_scale)).
-    Bias init is kept small, drawn from rng, so the initial CDF is centered:
-    the cumulative at 0 stays within a few percent of 1/2.
+    The architecture fixes the class attributes: filters gives the hidden
+    layer widths of the full stack (1, *filters, 1); init_scale sets the
+    initial width of the modeled densities (the composed stack starts as
+    roughly sigmoid(u/init_scale)). Bias init is kept small, drawn from rng,
+    so the initial CDF is centered: the cumulative at 0 stays within a few
+    percent of 1/2.
     """
 
-    def __init__(self, dims, rng, filters=(3, 3, 3), init_scale=10.0,
-                 likelihood_floor=1e-9):
+    filters = (3, 3, 3)
+    init_scale = 10.0
+    likelihood_floor = 1e-9
+
+    def __init__(self, dims, rng):
         if dims < 1:
             raise ContractError("density needs at least one dimension")
         self.dims = int(dims)
-        self.filters = tuple(int(f) for f in filters)
-        self.init_scale = float(init_scale)
-        self.likelihood_floor = float(likelihood_floor)
 
         widths = (1,) + self.filters + (1,)
         n_layers = len(widths) - 1

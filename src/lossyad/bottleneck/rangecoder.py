@@ -2,8 +2,9 @@
 
 Carry-free variant: the invariant low + range <= 2^32 is preserved by
 every shrink step, so emitted bytes are final. Frequencies in a table must
-sum to exactly 2^16 and every symbol must have frequency >= 1, which the
-pmf quantizer below guarantees.
+sum to exactly 2^16, every symbol must have frequency >= 1 and a table
+needs two symbols (one never shrinks the range), which the pmf quantizer
+below guarantees: it appends the escape slot.
 
 One call codes a whole stream in a loop over Python ints: `encode(starts,
 freqs)` takes each symbol's cumulative start and frequency, and
@@ -35,8 +36,9 @@ class FrequencyTable:
 
     def __init__(self, freqs):
         freqs = np.asarray(freqs, dtype=np.int64)
-        if freqs.ndim != 1 or freqs.size < 1:
-            raise ContractError("frequency table must be a non-empty vector")
+        if freqs.ndim != 1 or freqs.size < 2:
+            raise ContractError("frequency table must be a vector of at least "
+                                "two symbols")
         if np.any(freqs < 1):
             raise ContractError("every symbol needs frequency >= 1")
         if int(freqs.sum()) != TOTAL_FREQ:

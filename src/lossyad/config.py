@@ -16,10 +16,7 @@ from .training import LossWeights, TrainingConfig
 
 _MODEL_KEYS = {
     "input_channels": int, "window_length": int, "blocks": int,
-    "layers_per_block": int, "channel_width": int, "kernel_width": int,
-    "latent_dim": int, "bottleneck_enabled": bool,
-    "density_filters": list, "density_init_scale": (int, float),
-    "likelihood_floor": (int, float),
+    "channel_width": int, "latent_dim": int, "bottleneck_enabled": bool,
 }
 _TRAINING_KEYS = {
     "lambda1": (int, float), "lambda2": (int, float),

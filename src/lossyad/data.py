@@ -10,6 +10,7 @@ maximal prefix before its first anomalous label.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -97,14 +98,23 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
 
     Feature columns are every non-label, non-timestamp column, in header
     order. The first entry of label_columns is the anomaly label; the rest
-    are recognized and dropped. Malformed content, a nan or inf cell
-    included, raises ParseError with the offending line number.
+    are recognized and dropped. The file must be UTF-8. Malformed content,
+    a nan or inf cell or an undecodable byte included, raises ParseError
+    with the offending line number.
     """
     path = str(path)
     label_columns = tuple(label_columns)
     if not label_columns:
         raise ContractError("need at least one label column name")
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
+        raw_bytes = fh.read()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw_bytes.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}:{line}: byte {e.start} is not UTF-8 "
+                         f"({e.reason})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -226,16 +236,11 @@ def window(series, window_length=200, stride=10):
                        offsets=offsets)
 
 
-def window_labels(series, batch, window_length=200):
-    """Per-time labels aligned with a batch cut from `series`."""
-    return [series.labels[o: o + window_length] for o in batch.offsets]
-
-
-def _label_counts(labels, starts, window_length):
-    """Labeled samples in labels[o: o + window_length] for each o in
-    `starts`, from one cumulative sum."""
+def label_counts(labels, starts, length):
+    """Labeled samples in labels[o: o + length] for each o in the array
+    `starts` (any shape), from one cumulative sum."""
     csum = np.concatenate([[0], np.cumsum(labels)])
-    return csum[starts + window_length] - csum[starts]
+    return csum[starts + length] - csum[starts]
 
 
 def build_training_corpus(sets, p, seed, window_length=200, stride=10,
@@ -288,7 +293,7 @@ def build_training_corpus(sets, p, seed, window_length=200, stride=10,
                 normal_ids.append(s.set_id)
                 normal_offsets.append(o)
         starts = np.arange(0, s.length - window_length + 1, stride)
-        counts = _label_counts(s.labels, starts, window_length)
+        counts = label_counts(s.labels, starts, window_length)
         for o in starts[counts >= min_count].tolist():
             anomalous_pool.append(s.channels[:, o: o + window_length])
             pool_ids.append(s.set_id)

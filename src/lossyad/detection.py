@@ -2,9 +2,10 @@
 
 Single-window (1-shot) path: channel-scaled absolute reconstruction error,
 per-time maximum over channels, means over consecutive 10-sample subsets,
-strict thresholding. Streaming (multi-shot) path: per-time votes from
-stride-1 overlapping windows accumulate into a confidence score normalized
-by the number of windows that can have covered each instant. The scoring
+strict thresholding; its threshold sweep counts F1 per subset. Streaming
+(multi-shot) path: per-time votes from stride-1 overlapping windows
+accumulate into a confidence score normalized by the number of windows
+that can have covered each instant. The scoring
 functions take one (C, T) window or an (N, C, T) batch of them; a batch's
 results carry the same leading N axis.
 """
@@ -99,11 +100,10 @@ class ConfidenceStream:
     the number of windows that can ever cover that instant.
     """
 
-    def __init__(self, window_length=200, limit=DEFAULT_CS_LIMIT):
+    def __init__(self, window_length=200):
         if window_length < 1:
             raise ContractError("window length must be positive")
         self.window_length = int(window_length)
-        self.limit = float(limit)
         self._sums = np.zeros(0, dtype=np.int64)
         self.n_windows = 0
 
@@ -147,9 +147,6 @@ class ConfidenceStream:
         kappa = 1.0 / np.minimum(np.arange(1, n + 1), self.window_length)
         return kappa * self._sums[:n]
 
-    def alarms(self):
-        return multi_shot(self.confidence(), self.limit)
-
 
 def multi_shot(confidence, limit=DEFAULT_CS_LIMIT):
     """Strict threshold on the confidence score: 1 iff CS > limit."""
@@ -186,29 +183,37 @@ def default_delta_grid(start=0.2, stop=3.0, step=0.05):
     return start + step * np.arange(n)
 
 
-def sweep_one_shot(window_means, window_labels, grid=None):
-    """Best single-window F1 over a threshold grid.
+def sweep_one_shot(means, counts, grid=None):
+    """Best single-window F1 over a threshold grid, from per-subset counts.
 
-    window_means: list of per-window subset-mean vectors; window_labels:
-    matching per-time label vectors. Predictions are expanded per time and
-    counted per sample. Returns (best F1Result, best delta, curve) where
-    curve maps each grid delta to its F1.
+    means and counts (labeled samples per SUBSET_SIZE-sample subset) share
+    a shape, e.g. (windows, subsets). At delta the subsets with mean > delta
+    alarm, so TP is their labeled samples, FP = SUBSET_SIZE x their number
+    - TP and FN = all labeled samples - TP: the per-sample counts. Returns
+    (best F1Result, best delta, curve of (delta, F1)); the first best delta
+    of the grid wins a tie.
     """
-    if grid is None:
-        grid = default_delta_grid()
-    means = np.concatenate([np.asarray(m, dtype=np.float64) for m in window_means])
-    labels = np.concatenate([np.asarray(l, dtype=np.int64) for l in window_labels])
-    if labels.shape[0] != means.shape[0] * SUBSET_SIZE:
-        raise DimensionError("labels do not match the expanded prediction length")
-    if labels.sum() == 0:
+    grid = np.asarray(default_delta_grid() if grid is None else grid,
+                      dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64).reshape(-1)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if counts.shape != means.shape:
+        raise DimensionError(f"{counts.size} subset counts for {means.size} means")
+    if grid.size == 0:
+        raise ContractError("empty threshold grid")
+    if not np.all(np.isfinite(means)):
+        raise DomainError("subset means must be finite")
+    positives = int(counts.sum())
+    if positives == 0:
         raise ContractError("threshold sweep needs at least one labeled anomaly")
-    best = None
-    best_delta = None
-    curve = []
-    for delta in grid:
-        preds = expand_votes(one_shot(means, float(delta)))
-        result = f1_score(preds, labels)
-        curve.append((float(delta), result.f1))
-        if best is None or result.f1 > best.f1:
-            best, best_delta = result, float(delta)
-    return best, best_delta, curve
+    order = np.argsort(means)
+    # tp_above[i]: labeled samples in the subsets from sorted position i up
+    tp_above = np.concatenate([np.cumsum(counts[order][::-1])[::-1], [0]])
+    first = np.searchsorted(means[order], grid, side="right")
+    tp = tp_above[first]
+    fp = SUBSET_SIZE * (means.size - first) - tp
+    fn = positives - tp
+    f1 = 2.0 * tp / (2 * tp + fp + fn)
+    b = int(np.argmax(f1))
+    best = F1Result(f1=float(f1[b]), tp=int(tp[b]), fp=int(fp[b]), fn=int(fn[b]))
+    return best, float(grid[b]), list(zip(grid.tolist(), f1.tolist()))

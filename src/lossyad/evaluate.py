@@ -1,7 +1,9 @@
 """Evaluation harness: single-window threshold sweeps and streaming scoring.
 
 Both paths reconstruct their windows in (N, C, T) batches of the model's
-chunk size and score each batch in one call.
+chunk size and score each batch in one call. The one-shot sweep counts F1
+from each 10-sample subset's mean and labeled-sample count, the numbers
+`eval_scores.csv` holds per row.
 """
 
 from __future__ import annotations
@@ -13,33 +15,33 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 from .detection import (
-    ConfidenceStream, default_delta_grid, f1_score, max_abs_error, multi_shot,
-    scaled_abs_error, score_window, subset_means, sweep_one_shot,
+    SUBSET_SIZE, ConfidenceStream, default_delta_grid, f1_score, max_abs_error,
+    multi_shot, scaled_abs_error, score_window, subset_means, sweep_one_shot,
 )
-from .data import window, window_labels
+from .data import label_counts, window
 
 
 def window_scores(model, series, stride=None):
     """Reconstruct every window of a labeled series and score it.
 
-    Returns (means_list, labels_list, rows): per-window subset-mean vectors,
-    aligned per-time labels, and flat per-subset rows
+    Returns (means, counts, rows): the (windows, subsets) subset means and
+    labeled-sample counts, and flat per-subset rows
     (set_id, window_offset, subset_index, mean, n_anomalous_samples) with
     enough information to recount the per-sample F1 offline.
     """
     t_len = model.config.window_length
     stride = t_len if stride is None else stride
     batch = window(series, t_len, stride)
-    labels = window_labels(series, batch, t_len)
     means = np.concatenate([
         subset_means(max_abs_error(scaled_abs_error(
             x, model.forward_eval(x).data, model.omega)))
         for x in (batch.windows[part] for part in model.chunks(len(batch)))])
-    sub_counts = np.reshape(labels, means.shape + (-1,)).sum(axis=2)
+    starts = np.asarray(batch.offsets)[:, None] + SUBSET_SIZE * np.arange(means.shape[1])
+    counts = label_counts(series.labels, starts, SUBSET_SIZE)
     rows = [(series.set_id, o, k, float(m), int(cnt))
-            for o, window_means, counts in zip(batch.offsets, means, sub_counts)
-            for k, (m, cnt) in enumerate(zip(window_means, counts))]
-    return list(means), labels, rows
+            for o, window_means, window_counts in zip(batch.offsets, means, counts)
+            for k, (m, cnt) in enumerate(zip(window_means, window_counts))]
+    return means, counts, rows
 
 
 @dataclass
@@ -69,19 +71,20 @@ def evaluate_one_shot(model, validation_sets, grid=None, stride=None):
     if any(s.labels.sum() == 0 for s in validation_sets):
         raise ContractError("every validation set must carry anomaly labels")
     grid = default_delta_grid() if grid is None else grid
-    all_means, all_labels, all_rows = [], [], []
+    all_means, all_counts, all_rows = [], [], []
     per_set_scores = {}
     for s in validation_sets:
-        means, labels, rows = window_scores(model, s, stride=stride)
-        all_means.extend(means)
-        all_labels.extend(labels)
+        means, counts, rows = window_scores(model, s, stride=stride)
+        all_means.append(means)
+        all_counts.append(counts)
         all_rows.extend(rows)
-        per_set_scores[s.set_id] = (means, labels)
-    best, best_delta, curve = sweep_one_shot(all_means, all_labels, grid)
+        per_set_scores[s.set_id] = (means, counts)
+    best, best_delta, curve = sweep_one_shot(
+        np.concatenate(all_means), np.concatenate(all_counts), grid)
     per_set = {}
-    for sid, (means, labels) in per_set_scores.items():
+    for sid, (means, counts) in per_set_scores.items():
         try:
-            r, d, _ = sweep_one_shot(means, labels, grid)
+            r, d, _ = sweep_one_shot(means, counts, grid)
             per_set[sid] = {"best_f1": r.f1, "best_delta": d}
         except ContractError:
             per_set[sid] = {"best_f1": None, "best_delta": None}
@@ -112,7 +115,7 @@ def stream_series(model, series, delta, cs_limit=0.85):
     if series.length < t_len:
         raise ContractError(
             f"series length {series.length} is shorter than the window {t_len}")
-    stream = ConfidenceStream(window_length=t_len, limit=cs_limit)
+    stream = ConfidenceStream(window_length=t_len)
     latest = np.zeros(series.length)
     disjoint_votes = np.zeros(series.length, dtype=np.int64)
     # (n_windows, C, T) view of every stride-1 window, copied chunk by chunk

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError
+from .errors import ContractError, DimensionError, DomainError, ParseError
 from .numerics import Parameter, RngState, Tensor, functional as F
-from .bottleneck import FactorizedDensity, LatentCodec, QuantizerMode, quantize
+from .bottleneck import FactorizedDensity, LatentCodec, quantize
 
 # Activation elements (windows x channel_width x window_length) that one
 # batched call holds per layer. Memory, not speed, sets it: a training graph
@@ -32,26 +32,25 @@ from .bottleneck import FactorizedDensity, LatentCodec, QuantizerMode, quantize
 # TcnConfig defaults (width 128, T 200) a chunk is one window; at width 8,
 # T 100 it is 16 windows, where 32 raised peak RSS by 14% for 8% more speed.
 CHUNK_ELEMENTS = 12_800
+KERNEL_WIDTH = 3
+LAYERS_PER_BLOCK = 2
 
 
 @dataclass(frozen=True)
 class TcnConfig:
+    """The sizes experiments vary; the architecture fixes the rest (the
+    constants above and FactorizedDensity's class attributes)."""
+
     input_channels: int = 8
     window_length: int = 200
     blocks: int = 8
-    layers_per_block: int = 2
     channel_width: int = 128
-    kernel_width: int = 3
     latent_dim: int = 64
     bottleneck_enabled: bool = True
-    density_filters: tuple = (3, 3, 3)
-    density_init_scale: float = 10.0
-    likelihood_floor: float = 1e-9
 
     def __post_init__(self):
         if min(self.input_channels, self.window_length, self.blocks,
-               self.layers_per_block, self.channel_width, self.kernel_width,
-               self.latent_dim) < 1:
+               self.channel_width, self.latent_dim) < 1:
             raise ContractError("all architecture sizes must be positive")
         if self.latent_dim >= self.input_channels * self.window_length:
             raise ContractError(
@@ -66,18 +65,13 @@ class TcnConfig:
     @property
     def receptive_field(self):
         growth = sum(self.dilations)
-        return 1 + self.layers_per_block * (self.kernel_width - 1) * growth
+        return 1 + LAYERS_PER_BLOCK * (KERNEL_WIDTH - 1) * growth
 
     def to_dict(self):
-        d = asdict(self)
-        d["density_filters"] = list(self.density_filters)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if d.get("density_filters") is not None:
-            d["density_filters"] = tuple(d["density_filters"])
         return cls(**d)
 
 
@@ -94,17 +88,19 @@ def _xavier_uniform(rng, shape, fan_in):
 
 
 class _Block:
-    """One residual conv block: conv(-relu-conv)* plus a 1x1 skip.
+    """One residual conv block: LAYERS_PER_BLOCK convs of width
+    KERNEL_WIDTH, relu between them, plus a 1x1 skip.
 
     The last conv of the path is zero-initialized so a freshly built block
     acts as its skip connection; without this, stacking blocks multiplies
     activation variance and desk-scale training starts far off-scale.
     """
 
-    def __init__(self, rng, name, c_in, c_out, layers, k, dilation, transposed):
+    def __init__(self, rng, name, c_in, c_out, dilation, transposed):
         self.dilation = dilation
         self.transposed = transposed
         self.convs = []
+        layers, k = LAYERS_PER_BLOCK, KERNEL_WIDTH
         for i in range(layers):
             if transposed:
                 # channel change on the last layer, mirroring the forward block
@@ -155,14 +151,13 @@ class TcnAutoencoder:
         rng = RngState(seed)
         wrng = rng.spawn("weights")
         c, t_len, w = config.input_channels, config.window_length, config.channel_width
-        k, lpb = config.kernel_width, config.layers_per_block
 
         self.encoder_blocks = []
         for l in range(config.blocks):
             c_in = c if l == 0 else w
             self.encoder_blocks.append(_Block(
-                wrng, f"encoder.block{l}", c_in, w, lpb, k,
-                config.dilations[l], transposed=False))
+                wrng, f"encoder.block{l}", c_in, w, config.dilations[l],
+                transposed=False))
 
         flat = w * t_len
         self.latent_w = Parameter(
@@ -178,14 +173,10 @@ class TcnAutoencoder:
         for j in range(config.blocks):
             c_out = c if j == config.blocks - 1 else w
             self.decoder_blocks.append(_Block(
-                wrng, f"decoder.block{j}", w, c_out, lpb, k,
+                wrng, f"decoder.block{j}", w, c_out,
                 config.dilations[config.blocks - 1 - j], transposed=True))
 
-        self.density = FactorizedDensity(
-            config.latent_dim, rng.spawn("density"),
-            filters=config.density_filters,
-            init_scale=config.density_init_scale,
-            likelihood_floor=config.likelihood_floor)
+        self.density = FactorizedDensity(config.latent_dim, rng.spawn("density"))
 
         self.omega = np.ones(c)
         self._params = self._collect_parameters()
@@ -283,16 +274,17 @@ class TcnAutoencoder:
         """Inference reconstruction (deterministic, no RNG consumed, no graph)."""
         with F.no_grad():
             if self.config.bottleneck_enabled:
-                z = quantize(self.encode(x), QuantizerMode.ROUND)
-                return self.decode(z)
+                return self.decode(quantize(self.encode(x)))
             return self.ae_reconstruct(x)
 
     def latent_symbols(self, x):
         """Integer (rounded) latent for entropy coding, (N, latent_dim) or
-        (latent_dim,); builds no graph."""
+        (latent_dim,); builds no graph. One int64 cannot hold is a DomainError."""
         with F.no_grad():
-            z = quantize(self.encode(x), QuantizerMode.ROUND)
-        return z.data.astype(np.int64)
+            z = quantize(self.encode(x)).data
+        if not np.all(np.abs(z) < 2.0 ** 63):
+            raise DomainError("latent is not finite or exceeds the int64 range")
+        return z.astype(np.int64)
 
 
 def config_hash(payload):
@@ -349,10 +341,10 @@ def load_checkpoint(ckpt_dir):
     """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
-    manifest = manifest_path.read_text()
+    manifest = manifest_path.read_bytes()
     blob = (ckpt_dir / "checkpoint.bin").read_bytes()
     try:
-        manifest = json.loads(manifest)
+        manifest = json.loads(manifest)  # a UnicodeDecodeError is a ValueError
         model, codec = _model_from_manifest(manifest, blob)
     except ParseError:
         raise

@@ -41,15 +41,6 @@ def rdo_loss(x, x_hat, x_tilde, rate, weights):
     return loss
 
 
-def ae_loss(x, model):
-    """Baseline objective: plain MSE through the bypassed bottleneck."""
-    if model.config.bottleneck_enabled:
-        raise ContractError("ae_loss requires a model with the bottleneck disabled")
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    return F.mse(x, model.ae_reconstruct(x))
-
-
 class ChannelNormalizer:
     """Tracks per-channel residual spread and exposes its inverse.
 

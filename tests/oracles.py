@@ -105,6 +105,26 @@ def confidence_oracle(window_votes, t_len, window_len):
     return cs
 
 
+def sweep_one_shot_oracle(window_means, window_labels, grid, subset_size=10):
+    """Per-sample one-shot threshold sweep: at every grid value each
+    subset's vote (mean > delta) is expanded to its samples and TP, FP and
+    FN are counted sample by sample against the per-time labels; the first
+    best grid value wins a tie. Returns ((f1, tp, fp, fn, delta), curve)."""
+    means = np.concatenate([np.asarray(m, dtype=np.float64) for m in window_means])
+    labels = np.concatenate([np.asarray(l) for l in window_labels]).astype(bool)
+    best, curve = None, []
+    for delta in grid:
+        preds = np.repeat(means > delta, subset_size)
+        tp = int(np.sum(preds & labels))
+        fp = int(np.sum(preds & ~labels))
+        fn = int(np.sum(~preds & labels))
+        f1 = 2.0 * tp / (2 * tp + fp + fn)
+        curve.append((float(delta), f1))
+        if best is None or f1 > best[0]:
+            best = (f1, tp, fp, fn, float(delta))
+    return best, curve
+
+
 def range_encode_oracle(tables, symbols):
     """Per-symbol carry-free range encoder: 32-bit low/range, 16-bit
     frequency tables, symbol j coded under tables[j % len(tables)]."""

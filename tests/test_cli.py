@@ -19,8 +19,7 @@ def tiny_config(out_dir, **overrides):
     doc = {
         "model": {
             "input_channels": 3, "window_length": 50, "blocks": 2,
-            "layers_per_block": 2, "channel_width": 6, "kernel_width": 3,
-            "latent_dim": 8, "bottleneck_enabled": True,
+            "channel_width": 6, "latent_dim": 8, "bottleneck_enabled": True,
         },
         "training": {
             "lambda1": 200.0, "lambda2": 200.0, "learning_rate": 1e-3,
@@ -91,6 +90,16 @@ class TestConfigValidation:
     def test_invalid_config_exit_code(self, tmp_path):
         doc = tiny_config(tmp_path / "o")
         doc["model"]["bad_key"] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_width", 3), ("layers_per_block", 2), ("density_filters", [3, 3, 3]),
+        ("density_init_scale", 10.0), ("likelihood_floor", 1e-9)])
+    def test_fixed_architecture_key_exit_code(self, tmp_path, key, value):
+        # the architecture fixes these; a config that sets one is rejected
+        doc = tiny_config(tmp_path / "o")
+        doc["model"][key] = value
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 2
 
@@ -229,6 +238,24 @@ class TestStreamAndCompress:
         assert main(["compress", "--config", str(cfg_path), "--checkpoint",
                      str(ckpt), "--out", str(tmp_path / "comp")]) == 3
 
+    def test_latent_int64_cannot_hold_is_data_error(self, trained, tmp_path):
+        # A diverged model: latent.bias of [1e20, nan] must not be coded as
+        # wrapped -2^63 symbols and reported lossless.
+        cfg_path, out = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(out, ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = next(e for e in manifest["parameters"] if e["name"] == "latent.bias")
+        blob = bytearray((ckpt / "checkpoint.bin").read_bytes())
+        blob[entry["offset"]: entry["offset"] + 16] = np.array(
+            [1e20, np.nan], dtype="<f8").tobytes()
+        (ckpt / "checkpoint.bin").write_bytes(bytes(blob))
+        dest = tmp_path / "comp"
+        assert main(["compress", "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), "--out", str(dest)]) == 3
+        assert not (dest / "latents.lyb").exists()
+        assert not (dest / "compress_stats.json").exists()
+
     def test_latents_read_back_as_the_disjoint_windows(self, trained, tmp_path):
         cfg_path, out = trained
         dest = tmp_path / "comp"
@@ -323,6 +350,20 @@ class TestSweepAndSynth:
                      "--out", str(tmp_path / "x")])
         assert code == 3
         assert "bad.csv:62: value 'nan' in column 'b'" in capsys.readouterr().err
+
+    def test_non_utf8_csv_is_data_error(self, trained, tmp_path, capsys):
+        _, out = trained
+        rows = "".join(f"t{t},{t % 3}.0,1.0,0.5,{int(t > 40)}\n" for t in range(60))
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(("datetime,a,b,c,anomaly\n" + rows).encode()
+                        + b"t60,1.0,\xe9,0.5,0\n")
+        doc = tiny_config(tmp_path / "x")
+        doc["data"] = {"source": "csv", "paths": [str(csv)]}
+        cfg = write_config(tmp_path, doc)
+        code = main(["eval", "--config", str(cfg), "--checkpoint", str(out),
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "latin1.csv:62: byte" in capsys.readouterr().err
 
     def test_unknown_set_id_is_data_error(self, trained, tmp_path):
         cfg_path, out = trained

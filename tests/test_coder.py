@@ -14,6 +14,7 @@ from lossyad.bottleneck import (
     Bitstream, FactorizedDensity, FrequencyTable, LatentCodec, quantize_pmf,
 )
 from lossyad.bottleneck.rangecoder import TOTAL_FREQ, decode, encode
+from mutations import mutate
 from oracles import range_encode_oracle
 
 
@@ -94,8 +95,10 @@ class TestRangeCoder:
                 decode(bytes(bad), [table.cum], 200)
 
 
-# A table is a set of cut points inside (0, 2^16): every frequency >= 1.
-tables = st.lists(st.integers(1, TOTAL_FREQ - 1), unique=True, max_size=40).map(
+# A table is a set of cut points inside (0, 2^16): every frequency >= 1,
+# and at least one cut, so at least two symbols.
+tables = st.lists(st.integers(1, TOTAL_FREQ - 1), unique=True, min_size=1,
+                  max_size=40).map(
     lambda cuts: FrequencyTable(np.diff([0, *sorted(cuts), TOTAL_FREQ])))
 
 
@@ -120,6 +123,13 @@ class TestFrequencyTable:
     def test_rejects_wrong_total(self):
         with pytest.raises(ContractError):
             FrequencyTable(np.array([1, 2, 3]))
+
+    def test_rejects_one_symbol_table(self):
+        # one symbol never shrinks the range: decode would read no byte and
+        # return as many symbols as asked
+        with pytest.raises(ContractError, match="two symbols"):
+            FrequencyTable([TOTAL_FREQ])
+        assert len(quantize_pmf(np.array([1.0]), 0.0)) == 2
 
     def test_quantize_pmf_exact_total_and_floor(self):
         rng = np.random.default_rng(3)
@@ -170,6 +180,28 @@ class TestLatentCodec:
     def test_bad_magic_rejected(self):
         with pytest.raises(ParseError):
             Bitstream.from_bytes(b"XXXX" + bytes(32))
+
+    def test_far_apart_supports_need_no_grid_between_them(self, codec_setup):
+        # each dim's CDF edges are its own grid row: supports 2^40 apart
+        # build a (dims, 3) grid, not one 2^40 wide
+        density, _ = codec_setup
+        lo = np.zeros(8, dtype=np.int64)
+        lo[5] = 2 ** 40
+        codec = LatentCodec(density, lo, lo + 1)
+        vec = lo + np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        assert np.array_equal(codec.decompress(codec.compress(vec)), vec)
+
+    @pytest.mark.parametrize("lo, hi", [(0, TOTAL_FREQ - 2), (-2 ** 40, 2 ** 40),
+                                        (-2 ** 63, 2 ** 63 - 1)])
+    def test_support_wider_than_a_table_rejected_before_the_grid(self, codec_setup,
+                                                                 lo, hi):
+        # support + escape slot must fit 16 bits; the check comes before a
+        # CDF grid as wide as the support is allocated
+        density, _ = codec_setup
+        support_lo, support_hi = np.zeros(8, dtype=np.int64), np.ones(8, dtype=np.int64)
+        support_lo[5], support_hi[5] = lo, hi
+        with pytest.raises(ContractError, match="16-bit"):
+            LatentCodec(density, support_lo, support_hi)
 
     def test_every_truncated_prefix_rejected(self, codec_setup):
         _, codec = codec_setup
@@ -337,14 +369,4 @@ def assert_rejected_or_exact(codec, raw):
 @given(st.data())
 def test_mutated_bitstream_rejected_or_exact(codec_setup, data):
     _, codec = codec_setup
-    raw = bytearray(fuzz_base(codec))
-    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
-    if kind == "truncate":
-        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    elif kind == "flip":
-        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1,
-                                      max_size=4)):
-            raw[pos] ^= data.draw(st.integers(1, 255))
-    else:
-        raw += data.draw(st.binary(min_size=1, max_size=16))
-    assert_rejected_or_exact(codec, bytes(raw))
+    assert_rejected_or_exact(codec, mutate(data, fuzz_base(codec)))

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lossyad.errors import ContractError, ParseError
+from lossyad.errors import ContractError, LossyadError, ParseError
 from lossyad.data import (
     CorpusSplit, LabeledSeries, SynthConfig, WindowBatch, build_training_corpus,
-    load_series, normalize, synth_corpus, window, window_labels, write_series_csv,
+    label_counts, load_series, normalize, synth_corpus, window, write_series_csv,
 )
 from lossyad.detection import score_window, sweep_one_shot, subset_means, max_abs_error, scaled_abs_error
+
+from mutations import mutate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,6 +60,12 @@ class TestLoadSeries:
         with pytest.raises(ParseError, match=r"bad.csv:3: label in column 'anomaly'"):
             load_series(p)
 
+    def test_non_utf8_bytes_report_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"datetime,ch0,anomaly\nt0,1.0,0\nt1,\xff1.0,0\n")
+        with pytest.raises(ParseError, match=r"bad.csv:3: byte 33 is not UTF-8"):
+            load_series(p)
+
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("datetime,ch0,anomaly\nt0,1.0,0\nt1,1.0\n")
@@ -83,6 +92,17 @@ def mk_series(set_id, channels, labels):
                          timestamps=[str(i) for i in range(channels.shape[1])],
                          labels=labels)
 
+
+
+@given(st.data())
+def test_mutated_csv_loads_or_is_a_typed_error(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "mutated.csv"
+    p.write_bytes(mutate(data, (FIXTURES / "mini_comma.csv").read_bytes()))
+    try:
+        s = load_series(p)
+    except LossyadError:
+        return
+    assert np.all(np.isfinite(s.channels))
 
 class TestNormalize:
     def test_constant_channel_floored_with_warning(self):
@@ -142,10 +162,12 @@ class TestWindow:
         labels = (rng.uniform(size=120) < 0.2).astype(int)
         s = mk_series("a", chans, labels)
         batch = window(s, 50, 25)
-        labs = window_labels(s, batch, 50)
-        for w, o, l in zip(batch.windows, batch.offsets, labs):
+        # each window's 10-sample subsets, as the one-shot sweep counts them
+        starts = np.asarray(batch.offsets)[:, None] + 10 * np.arange(5)
+        counts = label_counts(s.labels, starts, 10)
+        for w, o, c in zip(batch.windows, batch.offsets, counts):
             np.testing.assert_array_equal(w, chans[:, o: o + 50])
-            np.testing.assert_array_equal(l, labels[o: o + 50])
+            np.testing.assert_array_equal(c, labels[o: o + 50].reshape(5, 10).sum(axis=1))
 
 
 class TestCorpus:
@@ -164,7 +186,7 @@ class TestCorpus:
         kwargs = dict(p=0.2, seed=seed, window_length=100, stride=7,
                       n_validation=2, min_anomalous_fraction=0.3)
         fast = build_training_corpus(sets, **kwargs)
-        monkeypatch.setattr(data_mod, "_label_counts", lambda labels, starts, t: np.array(
+        monkeypatch.setattr(data_mod, "label_counts", lambda labels, starts, t: np.array(
             [int(labels[o: o + t].sum()) for o in starts]))
         loop = build_training_corpus(sets, **kwargs)
         assert fast.achieved_fraction > 0.1
@@ -262,7 +284,7 @@ class TestSynthCorpus:
                           anomaly_types=("level_shift",), level_shift_sigma=5.0,
                           normal_prefix_fraction=0.4, anomaly_rate=0.2)
         sets = synth_corpus(cfg, seed=12)
-        means_list, labels_list = [], []
+        means_list, counts_list = [], []
         for s in sets:
             omega = 1.0 / np.maximum(s.clean.std(axis=1), 1e-6)
             batch = window(s, 100, 100)
@@ -270,6 +292,6 @@ class TestSynthCorpus:
                 clean_w = s.clean[:, o: o + 100]
                 mae = max_abs_error(scaled_abs_error(w, clean_w, omega))
                 means_list.append(subset_means(mae))
-                labels_list.append(s.labels[o: o + 100])
-        best, _, _ = sweep_one_shot(means_list, labels_list)
+                counts_list.append(s.labels[o: o + 100].reshape(10, 10).sum(axis=1))
+        best, _, _ = sweep_one_shot(means_list, counts_list)
         assert best.f1 > 0.9

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lossyad.config import parse_experiment
 from lossyad.errors import ContractError, DimensionError, DomainError
@@ -11,7 +12,8 @@ from lossyad.detection import (
     subset_means, sweep_one_shot,
 )
 
-from oracles import confidence_oracle, detection_pipeline_oracle
+from oracles import (confidence_oracle, detection_pipeline_oracle,
+                     sweep_one_shot_oracle)
 
 
 class TestScaledAbsError:
@@ -202,7 +204,7 @@ class TestConfidenceStream:
             for _ in range(20):
                 stream.push(rng.integers(0, 2, size=40))
             assert stream.vote_count(0) == 1
-            assert stream.alarms()[0] == first_vote
+            assert multi_shot(stream.confidence())[0] == first_vote
 
 
 class TestMultiShot:
@@ -237,20 +239,63 @@ class TestF1:
 class TestSweep:
     def test_finds_separating_threshold(self):
         rng = np.random.default_rng(10)
-        window_means, window_labels = [], []
-        for _ in range(20):
-            means = rng.uniform(0.0, 0.5, size=20)
-            labels = np.zeros(200, dtype=int)
-            anomalous = rng.integers(0, 20)
-            means[anomalous] = rng.uniform(2.0, 2.5)
-            labels[anomalous * 10: (anomalous + 1) * 10] = 1
-            window_means.append(means)
-            window_labels.append(labels)
-        best, best_delta, curve = sweep_one_shot(window_means, window_labels)
+        means = rng.uniform(0.0, 0.5, size=(20, 20))
+        counts = np.zeros((20, 20), dtype=int)
+        for w, anomalous in enumerate(rng.integers(0, 20, size=20)):
+            means[w, anomalous] = rng.uniform(2.0, 2.5)
+            counts[w, anomalous] = 10
+        best, best_delta, curve = sweep_one_shot(means, counts)
         assert best.f1 == 1.0
         assert 0.5 <= best_delta <= 2.0
         assert len(curve) == len(default_delta_grid())
 
     def test_needs_positive_labels(self):
         with pytest.raises(ContractError):
-            sweep_one_shot([np.zeros(20)], [np.zeros(200, dtype=int)])
+            sweep_one_shot(np.zeros((1, 20)), np.zeros((1, 20), dtype=int))
+
+    def test_first_best_delta_wins_a_tie(self):
+        # no mean exceeds any delta: F1 is 0 everywhere, so the first delta
+        best, best_delta, curve = sweep_one_shot(np.zeros(3), [0, 4, 10], [0.5, 1.0])
+        assert (best.f1, best.tp, best.fp, best.fn) == (0.0, 0, 0, 14)
+        assert best_delta == 0.5 and curve == [(0.5, 0.0), (1.0, 0.0)]
+
+    def test_alarm_is_strictly_above_delta(self):
+        best, _, curve = sweep_one_shot([1.0, 2.0], [10, 5], [1.0, 2.0])
+        # at 1.0 only the 2.0 subset alarms; at 2.0 none does
+        assert curve == [(1.0, 10 / 25), (2.0, 0.0)]
+        assert (best.tp, best.fp, best.fn) == (5, 5, 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_is_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            sweep_one_shot([0.5, bad], [3, 3], [0.2])
+
+    def test_counts_must_match_means(self):
+        with pytest.raises(DimensionError):
+            sweep_one_shot(np.zeros((2, 3)), np.ones((2, 4), dtype=int), [0.2])
+
+
+# Grid values as default_delta_grid computes them (inexact binary
+# fractions), and means on them, one float either side of them, or far off.
+SWEEP_GRID = default_delta_grid(0.2, 0.6, 0.05)
+SWEEP_MEANS = sorted({0.0, 5.0, *SWEEP_GRID.tolist(),
+                      *np.nextafter(SWEEP_GRID, 0.0).tolist(),
+                      *np.nextafter(SWEEP_GRID, 1.0).tolist()})
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_sweep_matches_the_per_sample_oracle(n_windows, subsets, data):
+    n = n_windows * subsets
+    means = np.array(data.draw(st.lists(st.sampled_from(SWEEP_MEANS),
+                                        min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=10 * n,
+                                         max_size=10 * n)), dtype=int)
+    assume(labels.any())
+    means = means.reshape(n_windows, subsets)
+    labels = labels.reshape(n_windows, 10 * subsets)
+    grid = SWEEP_GRID[data.draw(st.integers(0, 8)):]
+    counts = labels.reshape(n_windows, subsets, 10).sum(axis=2)
+    best, best_delta, curve = sweep_one_shot(means, counts, grid)
+    expected, expected_curve = sweep_one_shot_oracle(means, labels, grid)
+    assert (best.f1, best.tp, best.fp, best.fn, best_delta) == expected
+    assert curve == expected_curve

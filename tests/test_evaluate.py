@@ -1,12 +1,17 @@
-"""Evaluation harness tests: stride-1 streaming against a per-window recount."""
+"""Evaluation harness tests: stride-1 streaming against a per-window
+recount, one-shot sweeps against the per-sample oracle."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from lossyad.data import LabeledSeries
 import lossyad.model as model_mod
-from lossyad.detection import ConfidenceStream, f1_score, score_window
-from lossyad.evaluate import stream_series
+from lossyad.detection import ConfidenceStream, default_delta_grid, f1_score, score_window
+from lossyad.evaluate import evaluate_one_shot, stream_series
 from lossyad.model import TcnAutoencoder, TcnConfig
+from oracles import sweep_one_shot_oracle
 
 T = 20
 
@@ -62,3 +67,27 @@ def test_stream_runs_one_forward_per_window_and_recounts_one_shot(monkeypatch):
         assert result.one_shot_f1 == expected
         np.testing.assert_array_equal(result.confidence, stream.confidence())
         np.testing.assert_allclose(result.latest_max_err, latest, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [None, 7, 20, 33])
+def test_one_shot_counts_per_subset_as_the_per_sample_oracle(stride):
+    """evaluate_one_shot's report equals the per-sample sweep over each
+    window's per-time labels, and its rows carry each subset's label count."""
+    cfg = TcnConfig(input_channels=2, window_length=T, blocks=2, channel_width=4,
+                    latent_dim=4)
+    model = TcnAutoencoder(cfg, seed=3)
+    sets = [labeled_series(), replace(labeled_series(n=150, seed=6), set_id="s1")]
+    grid = default_delta_grid(0.2, 3.0, 0.05)
+    report, rows = evaluate_one_shot(model, sets, grid=grid, stride=stride)
+    by_id = {s.set_id: s for s in sets}
+    window_labels = [by_id[sid].labels[o: o + T]
+                     for sid, o, k, _, _ in rows if k == 0]
+    for sid, o, k, _, count in rows:
+        assert count == by_id[sid].labels[o + 10 * k: o + 10 * k + 10].sum()
+    means = np.array([r[3] for r in rows]).reshape(len(window_labels), T // 10)
+    expected, curve = sweep_one_shot_oracle(means, window_labels, grid)
+    got = (report.best_f1, report.tp, report.fp, report.fn, report.best_delta)
+    assert got == expected
+    assert report.curve == curve
+    assert len(window_labels) == len(range(0, 137 - T + 1, stride or T)) + \
+        len(range(0, 150 - T + 1, stride or T))

@@ -1,19 +1,23 @@
 """Autoencoder architecture tests: shapes, causality, mirror, checkpointing."""
 
-import numpy as np
-import pytest
-
 import json
 
-from lossyad.errors import ContractError, DimensionError, ParseError
-from lossyad.model import (TcnAutoencoder, TcnConfig, config_hash, load_checkpoint,
-                           save_checkpoint)
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from mutations import mutate
+
+from lossyad.errors import (ContractError, DimensionError, DomainError,
+                            LossyadError, ParseError)
+from lossyad.model import (KERNEL_WIDTH, LAYERS_PER_BLOCK, TcnAutoencoder, TcnConfig,
+                           config_hash, load_checkpoint, save_checkpoint)
 from lossyad.numerics import RngState, Tensor, backward, functional as F
 
 
 def toy_config(**kw):
-    base = dict(input_channels=2, window_length=16, blocks=2, layers_per_block=2,
-                channel_width=4, kernel_width=3, latent_dim=8)
+    base = dict(input_channels=2, window_length=16, blocks=2, channel_width=4,
+                latent_dim=8)
     base.update(kw)
     return TcnConfig(**base)
 
@@ -22,6 +26,11 @@ class TestConfig:
     def test_default_receptive_field_covers_window(self):
         cfg = TcnConfig()
         assert cfg.receptive_field >= cfg.window_length
+
+    def test_receptive_field_of_the_fixed_block(self):
+        # KERNEL_WIDTH 3, LAYERS_PER_BLOCK 2: 4 samples per unit of dilation
+        assert (KERNEL_WIDTH, LAYERS_PER_BLOCK) == (3, 2)
+        assert toy_config(blocks=3).receptive_field == 1 + 4 * (1 + 2 + 4)
 
     def test_dilation_schedule_is_powers_of_two(self):
         cfg = TcnConfig()
@@ -139,6 +148,14 @@ class TestForwardEval:
         b = m.forward_eval(x).data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bias", [[1e20, np.nan], [np.inf, 0.0], [-2.0 ** 63, 0.0]])
+    def test_latent_int64_cannot_hold_is_domain_error(self, bias):
+        # a diverged model's latent must not wrap to -2^63 on the cast
+        m = TcnAutoencoder(toy_config(), seed=13)
+        m.latent_b.data[:2] = bias
+        with pytest.raises(DomainError, match="int64"):
+            m.latent_symbols(np.zeros((2, 16)))
+
     def test_round_path_decodes_integer_latent(self):
         m = TcnAutoencoder(toy_config(), seed=13)
         x = np.random.default_rng(9).normal(size=(2, 16))
@@ -237,15 +254,18 @@ class TestCheckpoint:
 
     def test_config_edited_without_its_hash_rejected(self, tmp_path):
         path, manifest = self.saved(tmp_path)
-        manifest["config"]["likelihood_floor"] = 1e-3
+        manifest["config"]["channel_width"] = 5
         path.write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="config_hash"):
             load_checkpoint(tmp_path)
 
-    @pytest.mark.parametrize("key, value", [("hidden_layers", 3),
-                                            ("dilations", [1, 2])])
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_layers", 3), ("dilations", [1, 2]), ("kernel_width", 3),
+        ("layers_per_block", 2), ("density_filters", [3, 3, 3]),
+        ("density_init_scale", 10.0), ("likelihood_floor", 1e-9)])
     def test_config_rejected_by_tcn_config_is_parse_error(self, tmp_path, key, value):
-        # Manifests written while `dilations` was a config field carry it.
+        # Manifests written while `dilations`, the kernel width, the layers
+        # per block or the density's stack were config fields carry them.
         path, manifest = self.saved(tmp_path)
         manifest["config"][key] = value
         manifest["config_hash"] = config_hash(manifest["config"])
@@ -270,3 +290,26 @@ class TestCheckpoint:
         m2 = TcnAutoencoder(toy_config(), seed=19)
         for p, q in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(p.data, q.data)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """manifest.json and checkpoint.bin bytes of a toy model with codec tables."""
+    out = tmp_path_factory.mktemp("ckpt")
+    m = TcnAutoencoder(toy_config(), seed=22)
+    save_checkpoint(m, out, codec_support=(np.full(8, -9), np.full(8, 9)))
+    return {name: (out / name).read_bytes()
+            for name in ("manifest.json", "checkpoint.bin")}
+
+
+@given(st.sampled_from(["manifest.json", "checkpoint.bin"]), st.data())
+def test_mutated_checkpoint_loads_or_is_a_typed_error(tmp_path_factory, saved_checkpoint,
+                                                      name, data):
+    out = tmp_path_factory.getbasetemp() / "mutated_ckpt"
+    out.mkdir(exist_ok=True)
+    for file, raw in saved_checkpoint.items():
+        (out / file).write_bytes(mutate(data, raw) if file == name else raw)
+    try:
+        load_checkpoint(out)
+    except LossyadError:
+        pass

@@ -168,7 +168,7 @@ class TestElementwise:
 
     def test_softplus_positive_and_tanh_bounds(self):
         x = np.linspace(-20, 20, 41)
-        d = FactorizedDensity(x.size, rng=RngState(0), filters=(1, 1))
+        d = FactorizedDensity(x.size, rng=RngState(0))
         for p in d.matrices + d.factors:
             p.data[...] = x.reshape(-1, 1, 1)
         _, saved = d._logits(np.broadcast_to(x, (x.size, 1, x.size)).copy())

@@ -8,9 +8,9 @@ import pytest
 from lossyad.errors import ContractError, NumericAbort
 from lossyad.bottleneck.density import FactorizedDensity
 from lossyad.model import TcnAutoencoder, TcnConfig
-from lossyad.numerics import RngState, Tensor
+from lossyad.numerics import RngState, Tensor, functional as F
 from lossyad.training import (
-    ChannelNormalizer, LossWeights, TrainingConfig, ae_loss, fit,
+    ChannelNormalizer, LossWeights, TrainingConfig, fit,
     latent_support, rdo_loss,
 )
 
@@ -79,38 +79,13 @@ class TestRdoLoss:
 
 
 class TestAeLoss:
-    def test_perfect_reconstruction_is_zero(self):
-        m = TcnAutoencoder(toy_model_config(bottleneck_enabled=False), seed=1)
-        x = np.random.default_rng(1).normal(size=(2, 20))
-
-        class Perfect:
-            config = m.config
-
-            def ae_reconstruct(self, inp):
-                return inp if isinstance(inp, Tensor) else Tensor(inp)
-
-        assert ae_loss(x, Perfect()) == 0.0 or ae_loss(x, Perfect()).item() == 0.0
-
-    def test_hand_value(self):
-        # mean of squares of [1,1] vs [0,0] is 1.0
-        class Stub:
-            config = toy_model_config(bottleneck_enabled=False)
-
-            def ae_reconstruct(self, inp):
-                return Tensor(np.zeros(2))
-
-        assert ae_loss(np.array([1.0, 1.0]), Stub()).item() == 1.0
-
-    def test_rejects_bottleneck_model(self):
-        m = TcnAutoencoder(toy_model_config(bottleneck_enabled=True), seed=2)
-        with pytest.raises(ContractError):
-            ae_loss(np.zeros((2, 20)), m)
-
     def test_matches_degenerate_rdo(self):
+        # fit's AE objective, MSE through the bypassed bottleneck, is the
+        # RDO loss with zero rate and weights (1, 0)
         m = TcnAutoencoder(toy_model_config(bottleneck_enabled=False), seed=3)
         x = np.random.default_rng(2).normal(size=(2, 20))
-        direct = ae_loss(x, m).item()
         recon = m.ae_reconstruct(x)
+        direct = F.mse(Tensor(x), recon).item()
         via_rdo = rdo_loss(Tensor(x), recon, recon, Tensor(np.float64(0.0)),
                            LossWeights(1.0, 0.0)).item()
         assert abs(direct - via_rdo) < 1e-12
