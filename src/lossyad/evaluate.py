@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .detection import (
     SUBSET_SIZE, ConfidenceStream, default_delta_grid, f1_score, max_abs_error,
     multi_shot, scaled_abs_error, score_window, subset_means, sweep_one_shot,
@@ -109,7 +109,8 @@ def stream_series(model, series, delta, cs_limit=0.85):
     Every window votes per time instant; votes accumulate into the
     confidence score, thresholded at cs_limit. Also reports the plain
     1-shot F1 of the disjoint windows (offsets that are multiples of T) at
-    the same delta, for comparison, from the votes of the same pass.
+    the same delta, for comparison, from the votes of the same pass. A
+    non-finite window error is a DomainError, as in the one-shot sweep.
     """
     t_len = model.config.window_length
     if series.length < t_len:
@@ -123,6 +124,8 @@ def stream_series(model, series, delta, cs_limit=0.85):
     for part in model.chunks(len(windows)):
         x = np.ascontiguousarray(windows[part])
         det = score_window(x, model.forward_eval(x).data, model.omega, delta)
+        if not np.isfinite(det.max_err).all():
+            raise DomainError("window errors must be finite")
         stream.push(det.per_time_votes)
         # time t's newest covering window in this chunk is min(t, last)
         first, last = part.start, part.stop - 1

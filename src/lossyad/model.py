@@ -336,8 +336,9 @@ def load_checkpoint(ckpt_dir):
     """Rebuild a model (and its codec, when saved) from a checkpoint directory.
 
     The manifest must name exactly the model's parameters, with their shapes
-    and byte ranges inside checkpoint.bin, whose length must match; any other
-    manifest is a ParseError, never a partly loaded model.
+    and byte ranges inside checkpoint.bin, whose length must match, and every
+    value and omega must be finite, omega positive; anything else is a
+    ParseError, never a partly loaded model.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
@@ -378,11 +379,15 @@ def _model_from_manifest(manifest, blob):
         if not (isinstance(offset, int) and 0 <= offset <= len(blob) - nbytes):
             raise ParseError(f"byte range of {name} lies outside checkpoint.bin")
         arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{name} holds a non-finite value")
         p.data = arr.astype(np.float64).reshape(p.data.shape)
     model.omega = np.asarray(manifest["omega"], dtype=np.float64)
     if model.omega.shape != (model.config.input_channels,):
         raise ParseError(f"omega has shape {model.omega.shape}, expected "
                          f"({model.config.input_channels},)")
+    if not (np.isfinite(model.omega).all() and (model.omega > 0).all()):
+        raise ParseError("omega must be finite and positive")
     codec = None
     if manifest.get("density_tables"):
         dt = manifest["density_tables"]

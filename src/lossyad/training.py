@@ -89,23 +89,6 @@ class EpochStats:
 class TrainReport:
     epochs: list = field(default_factory=list)
 
-    def append(self, stats):
-        self.epochs.append(stats)
-
-    def last(self):
-        return self.epochs[-1] if self.epochs else None
-
-    def to_csv(self, path, config_hash=None):
-        lines = []
-        if config_hash:
-            lines.append(f"# config_hash={config_hash}")
-        lines.append("epoch,rate,distortion,reconstruction,total,seconds")
-        for e in self.epochs:
-            lines.append(f"{e.epoch},{e.rate!r},{e.distortion!r},"
-                         f"{e.reconstruction!r},{e.total!r},{e.seconds:.3f}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -115,6 +98,12 @@ class TrainingConfig:
     batch_size: int = 32
     epochs: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ContractError("batch_size and epochs must be at least 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be finite and positive")
 
 
 def _as_window_array(corpus):
@@ -137,6 +126,8 @@ def fit(corpus, config):
     windows = _as_window_array(corpus)
     cfg = config.model
     n, c, t_len = windows.shape
+    if n == 0:
+        raise ContractError("corpus has no windows")
     if (c, t_len) != (cfg.input_channels, cfg.window_length):
         raise ContractError(
             f"corpus windows are {c}x{t_len}, model expects "
@@ -154,8 +145,6 @@ def fit(corpus, config):
     weights = config.weights
 
     best_total = np.inf
-    best_params = None
-    best_omega = None
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -194,23 +183,20 @@ def fit(corpus, config):
             total = rate_mean + weights.lambda1 * d1_mean + weights.lambda2 * d2_mean
         else:
             total = d1_mean
-        report.append(EpochStats(epoch=epoch, rate=rate_mean, distortion=d1_mean,
-                                 reconstruction=d2_mean, total=total,
-                                 seconds=time.perf_counter() - t0))
+        report.epochs.append(EpochStats(
+            epoch=epoch, rate=rate_mean, distortion=d1_mean, reconstruction=d2_mean,
+            total=total, seconds=time.perf_counter() - t0))
         if not np.isfinite(total):
             raise NumericAbort(f"non-finite epoch total in epoch {epoch}",
                                last_report=report)
         if total < best_total:
             best_total = total
             best_params = [p.data.copy() for p in model.parameters()]
-            best_omega = normalizer.omega.copy()
 
-    if best_params is not None:
-        for p, snap in zip(model.parameters(), best_params):
-            p.data = snap
-    # Converged normalizer from the end of training; fall back to the best
-    # epoch's copy if the final EMA never materialized.
-    model.omega = normalizer.omega if normalizer.sigma is not None else best_omega
+    # epochs >= 1 and every total is finite, so epoch 0 set best_params
+    for p, snap in zip(model.parameters(), best_params):
+        p.data = snap
+    model.omega = normalizer.omega   # converged, from the end of training
     return model, report
 
 

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from lossyad.bottleneck import Bitstream
-from lossyad.cli import _assemble_split, _load_config, build_parser, main
+from lossyad.cli import _load_config, _open_checkpoint, build_parser, main
 from lossyad.data import window
-from lossyad.model import load_checkpoint
 from lossyad.config import load_experiment, parse_experiment
 from lossyad.errors import ConfigError, NumericAbort
 
@@ -164,6 +163,17 @@ class TestTrain:
         b = (tmp_path / "s9" / "checkpoint.bin").read_bytes()
         assert a != b
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", -3), ("batch_size", 0), ("epochs", 0), ("epochs", -1),
+        ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+    def test_invalid_training_setting_is_config_error(self, tmp_path, key, value):
+        out = tmp_path / "o"
+        doc = tiny_config(out, **{"training.epochs": 1, f"training.{key}": value})
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert not (out / "checkpoint.bin").exists()
+
 
 class TestEval:
     def test_metrics_and_scores(self, trained, tmp_path):
@@ -238,8 +248,8 @@ class TestStreamAndCompress:
         assert main(["compress", "--config", str(cfg_path), "--checkpoint",
                      str(ckpt), "--out", str(tmp_path / "comp")]) == 3
 
-    def test_latent_int64_cannot_hold_is_data_error(self, trained, tmp_path):
-        # A diverged model: latent.bias of [1e20, nan] must not be coded as
+    def test_latent_int64_cannot_hold_is_data_error(self, trained, tmp_path, capsys):
+        # A diverged model: latent.bias of [1e20, -1e20] must not be coded as
         # wrapped -2^63 symbols and reported lossless.
         cfg_path, out = trained
         ckpt = tmp_path / "ckpt"
@@ -248,21 +258,39 @@ class TestStreamAndCompress:
         entry = next(e for e in manifest["parameters"] if e["name"] == "latent.bias")
         blob = bytearray((ckpt / "checkpoint.bin").read_bytes())
         blob[entry["offset"]: entry["offset"] + 16] = np.array(
-            [1e20, np.nan], dtype="<f8").tobytes()
+            [1e20, -1e20], dtype="<f8").tobytes()
         (ckpt / "checkpoint.bin").write_bytes(bytes(blob))
         dest = tmp_path / "comp"
         assert main(["compress", "--config", str(cfg_path), "--checkpoint",
                      str(ckpt), "--out", str(dest)]) == 3
+        assert "int64" in capsys.readouterr().err
         assert not (dest / "latents.lyb").exists()
         assert not (dest / "compress_stats.json").exists()
+
+    def test_non_finite_parameter_is_data_error(self, trained, tmp_path, capsys):
+        # a NaN bias would otherwise score every error as "no vote"
+        cfg_path, out = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(out, ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = next(e for e in manifest["parameters"] if e["name"] == "expand.bias")
+        blob = bytearray((ckpt / "checkpoint.bin").read_bytes())
+        blob[entry["offset"]: entry["offset"] + 8] = np.array(
+            [np.nan], dtype="<f8").tobytes()
+        (ckpt / "checkpoint.bin").write_bytes(bytes(blob))
+        dest = tmp_path / "stream"
+        assert main(["stream", "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), "--out", str(dest)]) == 3
+        assert "expand.bias holds a non-finite value" in capsys.readouterr().err
+        assert not (dest / "stream_scores.csv").exists()
 
     def test_latents_read_back_as_the_disjoint_windows(self, trained, tmp_path):
         cfg_path, out = trained
         dest = tmp_path / "comp"
         assert main(["compress", "--config", str(cfg_path), "--checkpoint",
                      str(out), "--out", str(dest)]) == 0
-        model, _, codec = load_checkpoint(out)
-        _, split = _assemble_split(load_experiment(cfg_path))
+        _, model, _, codec, split, _ = _open_checkpoint(build_parser().parse_args(
+            ["compress", "--config", str(cfg_path), "--checkpoint", str(out)]))
         t_len = model.config.window_length
         windows = window(split.validation[0], t_len, t_len).windows
         raw = (dest / "latents.lyb").read_bytes()
@@ -316,6 +344,30 @@ class TestSweepAndSynth:
             main(["sweep", "--config", str(cfg), "--fractions", "0",
                   "--models", "rdo", "--seeds", "0", "--out", str(tmp_path / "sweep")])
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_sweep_rejects_seed(self, tmp_path, capsys):
+        # --seeds picks the seeds; a --seed would be silently ignored
+        cfg = write_config(tmp_path, tiny_config(tmp_path / "sweep"))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_sweep_cell_agrees_with_train_then_eval(self, tmp_path):
+        doc = tiny_config(tmp_path / "run", **{"training.seed": 4})
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--models", "rdo",
+                     "--fractions", "0.05", "--seeds", "4",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert (row["status"], row["model_type"]) == ("ok", metrics["model_type"])
+        for key in ("best_f1", "best_delta", "lambda1", "lambda2", "channel_width"):
+            assert float(row[key]) == metrics[key], key
 
     def test_synth_writes_loadable_sets(self, tmp_path):
         doc = tiny_config(tmp_path / "syn")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lossyad.data import LabeledSeries
+from lossyad.errors import DomainError
 import lossyad.model as model_mod
 from lossyad.detection import ConfidenceStream, default_delta_grid, f1_score, score_window
 from lossyad.evaluate import evaluate_one_shot, stream_series
@@ -67,6 +68,24 @@ def test_stream_runs_one_forward_per_window_and_recounts_one_shot(monkeypatch):
         assert result.one_shot_f1 == expected
         np.testing.assert_array_equal(result.confidence, stream.confidence())
         np.testing.assert_allclose(result.latest_max_err, latest, rtol=0, atol=1e-12)
+
+
+def test_stream_rejects_a_non_finite_error_in_any_window(monkeypatch):
+    """A NaN error in the first window at its last instant, where later
+    windows are newer, still ends the stream in a DomainError."""
+    cfg = TcnConfig(input_channels=2, window_length=T, blocks=2, channel_width=4,
+                    latent_dim=4)
+    model = TcnAutoencoder(cfg, seed=3)
+    forward_eval = model.forward_eval
+
+    def first_window_nan(x):
+        out = forward_eval(x)
+        out.data[0, 0, T - 1] = np.nan
+        return out
+
+    monkeypatch.setattr(model, "forward_eval", first_window_nan)
+    with pytest.raises(DomainError, match="finite"):
+        stream_series(model, labeled_series(), delta=1.0)
 
 
 @pytest.mark.parametrize("stride", [None, 7, 20, 33])

@@ -245,6 +245,24 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="outside"):
             load_checkpoint(tmp_path)
 
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        entry = manifest["parameters"][3]
+        blob = bytearray((tmp_path / "checkpoint.bin").read_bytes())
+        blob[entry["offset"]: entry["offset"] + 8] = np.array(
+            [np.nan], dtype="<f8").tobytes()
+        (tmp_path / "checkpoint.bin").write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"{entry['name']} holds a non-finite"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_omega_rejected(self, tmp_path, bad):
+        path, manifest = self.saved(tmp_path)
+        manifest["omega"][1] = bad
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="omega"):
+            load_checkpoint(tmp_path)
+
     def test_truncated_blob_rejected(self, tmp_path):
         self.saved(tmp_path)
         blob = tmp_path / "checkpoint.bin"

@@ -205,6 +205,10 @@ class TestFit:
         with pytest.raises(ContractError):
             fit(np.zeros((4, 3, 20)), toy_train_config())
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ContractError, match="no windows"):
+            fit(np.zeros((0, 2, 20)), toy_train_config())
+
     @pytest.mark.parametrize("bottleneck", [True, False])
     def test_graphs_are_freed_without_the_cycle_collector(self, bottleneck):
         # Autodiff graphs hold no reference cycles, so reference counting
