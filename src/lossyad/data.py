@@ -5,6 +5,11 @@ corpus generator for desk-scale experiments.
 The benchmark layout this follows: each set starts with a normal region and
 anomalies appear later, so the "normal portion" of a training set is the
 maximal prefix before its first anomalous label.
+
+`window` is the one window cutter: a read-only strided view of a series at
+every stride-th offset, so the stride-1 stream holds no copy per window.
+`build_training_corpus` takes its offsets from the same helper and copies
+only the windows it picks, once. `normalize` is the one z-score.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ParseError
 from .numerics import RngState
@@ -189,9 +195,11 @@ def _is_finite_float(s):
         return False
 
 
-def channel_stats(series_list):
-    """Per-channel mean and (floored) std over a list of series."""
-    stacked = np.concatenate([s.channels for s in series_list], axis=1)
+def normalize(train_series, other_series=()):
+    """Z-score every series with the per-channel mean and std of the
+    training split only; a constant channel's std is floored at STD_FLOOR,
+    with a warning. Returns (train, other, (mean, std))."""
+    stacked = np.concatenate([s.channels for s in train_series], axis=1)
     mean = stacked.mean(axis=1)
     std = stacked.std(axis=1)
     constant = std < STD_FLOOR
@@ -199,41 +207,33 @@ def channel_stats(series_list):
         warnings.warn(
             f"channels {np.flatnonzero(constant).tolist()} are constant; "
             f"std floored at {STD_FLOOR}")
-    return mean, np.maximum(std, STD_FLOOR)
-
-
-def apply_stats(series, mean, std):
-    scaled = (series.channels - mean[:, None]) / std[:, None]
-    clean = None
-    if series.clean is not None:
-        clean = (series.clean - mean[:, None]) / std[:, None]
-    out = LabeledSeries(set_id=series.set_id, channels=scaled,
-                        timestamps=list(series.timestamps),
-                        labels=series.labels.copy(), clean=clean)
-    return out
-
-
-def normalize(train_series, other_series=()):
-    """Z-score every series using statistics from the training split only."""
-    mean, std = channel_stats(train_series)
-    train_out = [apply_stats(s, mean, std) for s in train_series]
-    other_out = [apply_stats(s, mean, std) for s in other_series]
+    std = np.maximum(std, STD_FLOOR)
+    m, sd = mean[:, None], std[:, None]
+    train_out, other_out = (
+        [LabeledSeries(set_id=s.set_id, channels=(s.channels - m) / sd,
+                       timestamps=list(s.timestamps), labels=s.labels.copy(),
+                       clean=None if s.clean is None else (s.clean - m) / sd)
+         for s in group] for group in (train_series, other_series))
     return train_out, other_out, (mean, std)
 
 
+def _window_offsets(length, window_length, stride):
+    """Offsets 0, stride, 2*stride, ... of the windows within `length`."""
+    if stride < 1:
+        raise ContractError(f"window stride {stride} must be at least 1")
+    return np.arange(0, length - window_length + 1, stride)
+
+
 def window(series, window_length=200, stride=10):
-    """Slide a window over one series: offsets 0, stride, 2*stride, ..."""
-    channels = series.channels if isinstance(series, LabeledSeries) else \
-        np.asarray(series, dtype=np.float64)
-    set_id = series.set_id if isinstance(series, LabeledSeries) else "array"
-    n = channels.shape[1]
-    if n < window_length:
-        raise ContractError(
-            f"series of length {n} is shorter than the window {window_length}")
-    offsets = list(range(0, n - window_length + 1, stride))
-    windows = np.stack([channels[:, o: o + window_length] for o in offsets])
-    return WindowBatch(windows=windows, source_ids=[set_id] * len(offsets),
-                       offsets=offsets)
+    """Every window of one LabeledSeries at offsets 0, stride, 2*stride, ...:
+    a read-only (n, C, T) strided view of its channels, not a copy."""
+    if series.length < window_length:
+        raise ContractError(f"series of length {series.length} is shorter "
+                            f"than the window {window_length}")
+    offsets = _window_offsets(series.length, window_length, stride).tolist()
+    view = sliding_window_view(series.channels, window_length, axis=1)
+    return WindowBatch(view[:, ::stride].swapaxes(0, 1),
+                       [series.set_id] * len(offsets), offsets)
 
 
 def label_counts(labels, starts, length):
@@ -258,6 +258,8 @@ def build_training_corpus(sets, p, seed, window_length=200, stride=10,
     """
     if not 0.0 <= p <= 0.25:
         raise ContractError(f"anomaly fraction {p} outside [0, 0.25]")
+    if n_validation < 0:
+        raise ContractError(f"n_validation {n_validation} must not be negative")
     if len(sets) <= n_validation:
         raise ContractError(
             f"need more than {n_validation} sets, got {len(sets)}")
@@ -283,54 +285,46 @@ def build_training_corpus(sets, p, seed, window_length=200, stride=10,
     train_sets, val_sets, (mean, std) = normalize(raw_train, raw_val)
 
     min_count = max(1, int(round(min_anomalous_fraction * window_length)))
-    normal_windows, normal_ids, normal_offsets = [], [], []
-    anomalous_pool, pool_ids, pool_offsets = [], [], []
-    for s in train_sets:
-        prefix = s.normal_prefix_length()
-        if prefix >= window_length:
-            for o in range(0, prefix - window_length + 1, stride):
-                normal_windows.append(s.channels[:, o: o + window_length])
-                normal_ids.append(s.set_id)
-                normal_offsets.append(o)
-        starts = np.arange(0, s.length - window_length + 1, stride)
+    normal, pool = [], []     # (index into train_sets, window offset) pairs
+    for k, s in enumerate(train_sets):
+        prefix = _window_offsets(s.normal_prefix_length(), window_length, stride)
+        normal += [(k, o) for o in prefix.tolist()]
+        starts = _window_offsets(s.length, window_length, stride)
         counts = label_counts(s.labels, starts, window_length)
-        for o in starts[counts >= min_count].tolist():
-            anomalous_pool.append(s.channels[:, o: o + window_length])
-            pool_ids.append(s.set_id)
-            pool_offsets.append(o)
+        pool += [(k, o) for o in starts[counts >= min_count].tolist()]
 
-    if not normal_windows:
+    if not normal:
         raise ContractError("no normal-prefix windows available for training")
-    n_normal = len(normal_windows)
-    n_anom = int(round(p * n_normal / (1.0 - p))) if p > 0 else 0
-    if p > 0 and not anomalous_pool:
+    n_anom = int(round(p * len(normal) / (1.0 - p))) if p > 0 else 0
+    if p > 0 and not pool:
         raise ContractError("p > 0 but no anomalous windows are available")
 
     chosen = []
     if n_anom > 0:
-        pool_n = len(anomalous_pool)
-        take_wo = min(n_anom, pool_n)
-        idx = sample_rng.choice(pool_n, size=take_wo, replace=False)
-        chosen.extend(int(i) for i in np.atleast_1d(idx))
+        pool_n = len(pool)
+        chosen = sample_rng.choice(pool_n, size=min(n_anom, pool_n),
+                                   replace=False).tolist()
         if n_anom > pool_n:
-            extra = sample_rng.choice(pool_n, size=n_anom - pool_n, replace=True)
-            chosen.extend(int(i) for i in np.atleast_1d(extra))
+            chosen += sample_rng.choice(pool_n, size=n_anom - pool_n,
+                                        replace=True).tolist()
 
-    windows = normal_windows + [anomalous_pool[i] for i in chosen]
-    ids = normal_ids + [pool_ids[i] for i in chosen]
-    offsets = normal_offsets + [pool_offsets[i] for i in chosen]
-    order = shuffle_rng.permutation(len(windows))
+    picked = normal + [pool[i] for i in chosen]
+    picked = [picked[i] for i in shuffle_rng.permutation(len(picked))]
     batch = WindowBatch(
-        windows=np.stack([windows[i] for i in order]),
-        source_ids=[ids[i] for i in order],
-        offsets=[offsets[i] for i in order])
-    achieved = len(chosen) / len(windows)
+        windows=np.stack([train_sets[k].channels[:, o: o + window_length]
+                          for k, o in picked]),
+        source_ids=[train_sets[k].set_id for k, _ in picked],
+        offsets=[o for _, o in picked])
+    achieved = len(chosen) / len(picked)
 
     return CorpusSplit(train=batch, validation=val_sets,
                        train_ids=[sets[i].set_id for i in train_idx],
                        validation_ids=[sets[i].set_id for i in validation_idx],
                        anomaly_fraction=p, achieved_fraction=achieved,
                        seed=seed, channel_mean=mean, channel_std=std)
+
+
+ANOMALY_TYPES = ("level_shift", "variance_burst", "frequency_change")
 
 
 @dataclass(frozen=True)
@@ -342,10 +336,27 @@ class SynthConfig:
     noise_std: float = 0.1
     normal_prefix_fraction: float = 0.55
     anomaly_rate: float = 0.15
-    anomaly_types: tuple = ("level_shift", "variance_burst", "frequency_change")
+    anomaly_types: tuple = ANOMALY_TYPES      # a kind may repeat to weight it
     level_shift_sigma: float = 5.0
     variance_factor: float = 4.0
     frequency_factor: float = 2.5
+
+    def __post_init__(self):
+        if min(self.channels, self.n_sets, self.length,
+               self.latent_components) < 1:
+            raise ContractError("channels, n_sets, length and "
+                                "latent_components must be at least 1")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ContractError("noise_std must be finite and non-negative")
+        if not (0 <= self.normal_prefix_fraction <= 1
+                and 0 <= self.anomaly_rate <= 1):
+            raise ContractError("normal_prefix_fraction and anomaly_rate "
+                                "must lie in [0, 1]")
+        unknown = set(self.anomaly_types) - set(ANOMALY_TYPES)
+        if not self.anomaly_types or unknown:
+            raise ContractError(f"anomaly_types must be a non-empty list of "
+                                f"{list(ANOMALY_TYPES)}, got "
+                                f"{list(self.anomaly_types)}")
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -415,14 +426,12 @@ def synth_corpus(config, seed):
                     mask[int(rng.integers(0, c))] = True
                 burst_std = 0.5 * config.variance_factor * sigma_c * mask
                 x[:, sl] += rng.normal(0.0, 1.0, size=(c, duration)) * burst_std[:, None]
-            elif kind == "frequency_change":
+            else:   # frequency_change
                 seg_t = np.arange(start, start + duration)
                 warped = np.sin(2 * np.pi * (config.frequency_factor * freqs[:, None])
                                 * seg_t[None, :] + phases[:, None])
                 x[:, sl] = mixing @ warped + rng.normal(
                     0.0, config.noise_std, size=(c, duration))
-            else:
-                raise ContractError(f"unknown anomaly type {kind!r}")
             labels[sl] = 1
             placed += duration
         sets.append(LabeledSeries(

@@ -1,7 +1,9 @@
 """Evaluation harness: single-window threshold sweeps and streaming scoring.
 
-Both paths reconstruct their windows in (N, C, T) batches of the model's
-chunk size and score each batch in one call. The one-shot sweep counts F1
+Both paths take their windows from `data.window`, a strided view of the
+series: the one-shot sweep at its stride (T by default), the stream at
+stride 1. Both reconstruct them in (N, C, T) batches of the model's chunk
+size and score each batch in one call. The one-shot sweep counts F1
 from each 10-sample subset's mean and labeled-sample count, the numbers
 `eval_scores.csv` holds per row.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DomainError
 from .detection import (
@@ -113,14 +114,10 @@ def stream_series(model, series, delta, cs_limit=0.85):
     non-finite window error is a DomainError, as in the one-shot sweep.
     """
     t_len = model.config.window_length
-    if series.length < t_len:
-        raise ContractError(
-            f"series length {series.length} is shorter than the window {t_len}")
+    windows = window(series, t_len, 1).windows   # a view, copied chunk by chunk
     stream = ConfidenceStream(window_length=t_len)
     latest = np.zeros(series.length)
     disjoint_votes = np.zeros(series.length, dtype=np.int64)
-    # (n_windows, C, T) view of every stride-1 window, copied chunk by chunk
-    windows = sliding_window_view(series.channels, t_len, axis=1).swapaxes(0, 1)
     for part in model.chunks(len(windows)):
         x = np.ascontiguousarray(windows[part])
         det = score_window(x, model.forward_eval(x).data, model.omega, delta)

@@ -17,8 +17,8 @@ class LossWeights:
     """lambda1 weights the input-vs-quantized-reconstruction distortion,
     lambda2 the quantization-induced distortion between the two decodes."""
 
-    lambda1: float
-    lambda2: float
+    lambda1: float = 1.0e5
+    lambda2: float = 1.0e5
 
     def __post_init__(self):
         if not (np.isfinite(self.lambda1) and np.isfinite(self.lambda2)):

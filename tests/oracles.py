@@ -148,3 +148,57 @@ def range_encode_oracle(tables, symbols):
         out.append(low // 2 ** 24)
         low = low * 256 % 2 ** 32
     return bytes(out)
+
+
+def build_training_corpus_oracle(sets, p, seed, window_length, stride,
+                                 n_validation, min_anomalous_fraction):
+    """The training side of the corpus protocol built window by window, in
+    three parallel lists each for the normal prefixes and the anomalous
+    pool: (windows, source_ids, offsets, achieved_fraction). It draws from
+    the same seeded streams, in the same order, as the library."""
+    from lossyad.numerics import RngState
+
+    rng = RngState(seed)
+    split_rng = rng.spawn("split")
+    sample_rng = rng.spawn("anomaly-sample")
+    shuffle_rng = rng.spawn("shuffle")
+    with_anomalies = [i for i, s in enumerate(sets) if s.labels.any()]
+    pick = split_rng.choice(len(with_anomalies), size=n_validation, replace=False)
+    held_out = {with_anomalies[int(j)] for j in pick}
+    train = [s for i, s in enumerate(sets) if i not in held_out]
+    stacked = np.concatenate([s.channels for s in train], axis=1)
+    mean = stacked.mean(axis=1)
+    std = np.maximum(stacked.std(axis=1), 1e-8)
+
+    min_count = max(1, int(round(min_anomalous_fraction * window_length)))
+    normal_windows, normal_ids, normal_offsets = [], [], []
+    pool_windows, pool_ids, pool_offsets = [], [], []
+    for s in train:
+        x = (s.channels - mean[:, None]) / std[:, None]
+        anomalous = np.flatnonzero(s.labels)
+        prefix = int(anomalous[0]) if anomalous.size else s.labels.size
+        for o in range(0, prefix - window_length + 1, stride):
+            normal_windows.append(x[:, o: o + window_length])
+            normal_ids.append(s.set_id)
+            normal_offsets.append(o)
+        for o in range(0, s.labels.size - window_length + 1, stride):
+            if int(s.labels[o: o + window_length].sum()) >= min_count:
+                pool_windows.append(x[:, o: o + window_length])
+                pool_ids.append(s.set_id)
+                pool_offsets.append(o)
+
+    n_anom = int(round(p * len(normal_windows) / (1.0 - p))) if p > 0 else 0
+    chosen = []
+    if n_anom > 0:
+        n_pool = len(pool_windows)
+        for i in sample_rng.choice(n_pool, size=min(n_anom, n_pool), replace=False):
+            chosen.append(int(i))
+        if n_anom > n_pool:
+            for i in sample_rng.choice(n_pool, size=n_anom - n_pool, replace=True):
+                chosen.append(int(i))
+    windows = normal_windows + [pool_windows[i] for i in chosen]
+    ids = normal_ids + [pool_ids[i] for i in chosen]
+    offsets = normal_offsets + [pool_offsets[i] for i in chosen]
+    order = shuffle_rng.permutation(len(windows))
+    return (np.stack([windows[i] for i in order]), [ids[i] for i in order],
+            [offsets[i] for i in order], len(chosen) / len(windows))

@@ -9,9 +9,11 @@ import pytest
 
 from lossyad.bottleneck import Bitstream
 from lossyad.cli import _load_config, _open_checkpoint, build_parser, main
-from lossyad.data import window
-from lossyad.config import load_experiment, parse_experiment
+from lossyad.data import SynthConfig, window
+from lossyad.config import MAX_DELTA_GRID_POINTS, load_experiment, parse_experiment
 from lossyad.errors import ConfigError, NumericAbort
+from lossyad.model import TcnConfig
+from lossyad.training import LossWeights, TrainingConfig
 
 
 def tiny_config(out_dir, **overrides):
@@ -61,7 +63,76 @@ def trained(tmp_path_factory):
     return cfg_path, out
 
 
+# Every key read from a dataclass: (section, key, a value of its type, a
+# value of another type). int, float, bool and tuple fields take a JSON int,
+# a number, a bool and a list.
+DATACLASS_KEYS = [
+    *[("model", key, good, 2.5) for key, good in [
+        ("input_channels", 2), ("window_length", 100), ("blocks", 2),
+        ("channel_width", 2), ("latent_dim", 2)]],
+    ("model", "bottleneck_enabled", False, 1),
+    *[("training", key, 0.5, "0.5") for key in (
+        "lambda1", "lambda2", "learning_rate")],
+    *[("training", key, 2, 2.5) for key in ("batch_size", "epochs", "seed")],
+    *[("data.synth", key, 2, 2.5) for key in (
+        "channels", "n_sets", "length", "latent_components")],
+    *[("data.synth", key, 0.5, "0.5") for key in (
+        "noise_std", "normal_prefix_fraction", "anomaly_rate",
+        "level_shift_sigma", "variance_factor", "frequency_factor")],
+    ("data.synth", "anomaly_types", ["variance_burst", "variance_burst"],
+     "variance_burst"),
+]
+
+
+def nested(section, key, value):
+    """A config document that sets one key of a (dotted) section."""
+    doc = {key: value}
+    for name in reversed(section.split(".")):
+        doc = {name: doc}
+    return doc
+
+
 class TestConfigValidation:
+    def test_defaults_are_the_dataclasses(self):
+        cfg = parse_experiment({})
+        assert cfg.training == TrainingConfig(model=TcnConfig(),
+                                              weights=LossWeights())
+        assert cfg.data["synth"] == SynthConfig()
+
+    @pytest.mark.parametrize("section, key, good, bad", DATACLASS_KEYS)
+    def test_dataclass_key_takes_its_type_only(self, section, key, good, bad):
+        parse_experiment(nested(section, key, good))
+        with pytest.raises(ConfigError, match=key):
+            parse_experiment(nested(section, key, bad))
+
+    def test_window_length_off_the_subset_grid_is_config_error(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, tiny_config(out, **{"model.window_length": 55}))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_delta_grid_point_count_capped(self, tmp_path):
+        cap = MAX_DELTA_GRID_POINTS
+        parse_experiment(nested("detection", "delta_grid", [1, cap, 1]))
+        with pytest.raises(ConfigError, match="delta_grid"):
+            parse_experiment(nested("detection", "delta_grid", [1, cap + 1, 1]))
+        out = tmp_path / "o"
+        doc = tiny_config(out, **{"detection.delta_grid": [0.2, 3.0, 1e-9]})
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("channels", 0), ("n_sets", 0), ("length", 0), ("latent_components", 0),
+        ("noise_std", -1), ("normal_prefix_fraction", 1.5),
+        ("anomaly_rate", -0.1), ("anomaly_types", []),
+        ("anomaly_types", ["bogus"])])
+    def test_invalid_synth_setting_is_config_error(self, tmp_path, key, value):
+        out = tmp_path / "o"
+        doc = tiny_config(out)
+        doc["data"]["synth"][key] = value
+        assert main(["synth", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         doc = tiny_config(tmp_path / "o")
         doc["model"]["channelz"] = 4
@@ -173,6 +244,22 @@ class TestTrain:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 2
         assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "data.train_stride", 0), ("eval", "detection.eval_stride", 0),
+    ("eval", "detection.eval_stride", -3), ("train", "data.n_validation", -1)])
+def test_invalid_stride_or_validation_count_is_data_error(
+        trained, tmp_path, command, key, value):
+    _, checkpoint = trained
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, tiny_config(out, **{"training.epochs": 1, key: value}))
+    args = [command, "--config", str(cfg)]
+    if command == "eval":
+        args += ["--checkpoint", str(checkpoint), "--out", str(out)]
+    assert main(args) == 3
+    assert not (out / "checkpoint.bin").exists()
+    assert not (out / "metrics.json").exists()
 
 
 class TestEval:

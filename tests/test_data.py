@@ -15,6 +15,7 @@ from lossyad.data import (
 from lossyad.detection import score_window, sweep_one_shot, subset_means, max_abs_error, scaled_abs_error
 
 from mutations import mutate
+from oracles import build_training_corpus_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -156,6 +157,25 @@ class TestWindow:
         with pytest.raises(ContractError):
             window(s, 32, 1)
 
+    @pytest.mark.parametrize("stride", [1, 7, 50])
+    def test_windows_are_a_read_only_view_of_the_series(self, stride):
+        # the stride-1 stream holds O(series) memory, not O(windows * T)
+        chans = np.random.default_rng(5).normal(size=(3, 120))
+        s = mk_series("a", chans, np.zeros(120, dtype=int))
+        batch = window(s, 50, stride)
+        expected = np.stack([chans[:, o: o + 50] for o in range(0, 71, stride)])
+        np.testing.assert_array_equal(batch.windows, expected)
+        assert batch.offsets == list(range(0, 71, stride))
+        assert all(type(o) is int for o in batch.offsets)
+        assert np.shares_memory(batch.windows, s.channels)
+        assert not batch.windows.flags.writeable
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_rejected(self, stride):
+        s = mk_series("a", np.zeros((2, 100)), np.zeros(100, dtype=int))
+        with pytest.raises(ContractError, match="stride"):
+            window(s, 50, stride)
+
     def test_window_contents_and_labels_align(self):
         rng = np.random.default_rng(4)
         chans = rng.normal(size=(3, 120))
@@ -194,6 +214,26 @@ class TestCorpus:
         assert fast.train.source_ids == loop.train.source_ids
         assert fast.train.offsets == loop.train.offsets
         assert all(type(o) is int for o in fast.train.offsets)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.25])
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("min_frac", [0.0, 0.5])
+    def test_matches_the_list_building_oracle(self, p, stride, min_frac):
+        # at p=0.25 and min_frac 0.5 the anomalous pool runs out, so the
+        # draw goes on with replacement
+        sets = synth_corpus(SynthConfig(channels=3, n_sets=5, length=500,
+                                        normal_prefix_fraction=0.6,
+                                        anomaly_rate=0.2), seed=3)
+        kwargs = dict(p=p, seed=11, window_length=50, stride=stride,
+                      n_validation=2, min_anomalous_fraction=min_frac)
+        split = build_training_corpus(sets, **kwargs)
+        windows, ids, offsets, achieved = build_training_corpus_oracle(sets, **kwargs)
+        assert split.train.windows.shape == windows.shape
+        assert split.train.windows.tobytes() == windows.tobytes()
+        assert split.train.source_ids == ids
+        assert split.train.offsets == offsets
+        assert all(type(o) is int for o in split.train.offsets)
+        assert split.achieved_fraction == achieved
 
     def test_p_zero_uses_only_normal_prefix(self):
         sets = self.make_sets()
