@@ -96,8 +96,9 @@ class Bitstream:
 class LatentCodec:
     """Entropy codec for integer latents under per-dimension PMF tables.
 
-    Built from a FactorizedDensity and an integer support per dimension;
-    each table's last slot is the escape symbol carrying the tail mass.
+    Built from a FactorizedDensity and an integer support per dimension:
+    table i quantizes the density's `integer_pmf` row over [lo_i, hi_i],
+    and its last slot is the escape symbol carrying the tail mass.
     """
 
     def __init__(self, density, support_lo, support_hi):
@@ -105,11 +106,8 @@ class LatentCodec:
         hi = np.asarray(support_hi, dtype=np.int64)
         if lo.shape != (density.dims,) or hi.shape != (density.dims,):
             raise ContractError("support bounds must be per-dimension vectors")
-        if np.any(hi < lo):
-            raise ContractError("empty support for some dimension")
-        # a dim's alphabet, its support plus the escape slot, is also the
-        # number of its CDF edges lo-1/2 .. hi+1/2; checked against
-        # quantize_pmf's table limit before the grid is sized from it
+        # a dim's alphabet, support plus escape slot, in Python ints: checked
+        # against quantize_pmf's table limit before integer_pmf's grid
         sizes = [h - l + 2 for l, h in zip(lo.tolist(), hi.tolist())]
         if max(sizes) >= TOTAL_FREQ:
             raise ContractError(f"alphabet of {max(sizes)} symbols is too large "
@@ -117,16 +115,10 @@ class LatentCodec:
         self.dims = density.dims
         self.lo = lo
         self.hi = hi
-        # row i holds dim i's edges, right-padded to the largest alphabet
-        cdf = density.cumulative_grid(lo[:, None] + np.arange(max(sizes)) - 0.5).data
-        self.tables = []
-        tail_bounds = []
-        for i, n in enumerate(sizes):
-            pmf = np.maximum(np.diff(cdf[i, :n]), 0.0)
-            tail = max(float(cdf[i, 0] + (1.0 - cdf[i, n - 1])), 0.0)
-            self.tables.append(quantize_pmf(pmf, tail))
-            tail_bounds.append(tail)
-        self.tail_bound = float(max(tail_bounds))
+        pmf, tail = density.integer_pmf(lo, hi)
+        self.tables = [quantize_pmf(pmf[i, :n - 1], float(tail[i]))
+                       for i, n in enumerate(sizes)]
+        self.tail_bound = float(tail.max())
         # Cumulative tables as int tuples for `decode`, and right-padded in
         # one (dims, max alphabet + 1) array for compress's gathers.
         self._cums = tuple(t.cum for t in self.tables)

@@ -188,16 +188,19 @@ class FactorizedDensity:
         return out
 
     def integer_pmf(self, lo, hi):
-        """Tabulate P(k) for integers k in [lo, hi] per dimension.
+        """Tabulate P(k) for integers k in [lo_i, hi_i] of each dimension i.
 
-        Returns (pmf, tail_mass): pmf is (dims, hi-lo+1), tail_mass (dims,)
-        holding the probability outside the tabulated support.
+        lo and hi are scalars or (dims,) vectors. Returns (pmf, tail_mass):
+        pmf is (dims, max(hi-lo)+1), row i P(lo_i), P(lo_i+1), ... and zero
+        past hi_i; tail_mass (dims,) is c(lo-1/2) + 1 - c(hi+1/2) per dim.
         """
-        if hi < lo:
-            raise ContractError(f"empty support [{lo}, {hi}]")
-        edges = np.arange(lo, hi + 2, dtype=np.float64) - 0.5
-        grid = np.broadcast_to(edges, (self.dims, edges.size)).copy()
-        cdf = self.cumulative_grid(grid).data
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), (self.dims,))
+                  for v in (lo, hi))
+        if np.any(hi < lo):
+            raise ContractError("empty support for some dimension")
+        width = hi - lo + 1
+        cdf = self.cumulative_grid(lo[:, None] + np.arange(width.max() + 1) - 0.5).data
         pmf = np.maximum(np.diff(cdf, axis=1), 0.0)
-        tail = np.maximum(cdf[:, 0] + (1.0 - cdf[:, -1]), 0.0)
+        pmf[np.arange(pmf.shape[1]) >= width[:, None]] = 0.0
+        tail = np.maximum(cdf[:, 0] + (1.0 - cdf[np.arange(self.dims), width]), 0.0)
         return pmf, tail

@@ -44,7 +44,8 @@ def _override(cfg, edits):
 
 
 def _load_config(args):
-    edits = {"training.seed": getattr(args, "seed", None), "output_dir": args.out}
+    edits = {"training.seed": getattr(args, "seed", None),
+             "detection.delta": getattr(args, "delta", None), "output_dir": args.out}
     return _override(load_experiment(args.config),
                      {k: v for k, v in edits.items() if v is not None})
 
@@ -172,8 +173,8 @@ def cmd_eval(args):
 def cmd_stream(args):
     cfg, model, _, _, split, out = _open_checkpoint(args)
     series = _pick_series(split, args.set)
-    delta = args.delta if args.delta is not None else cfg.detection["delta"]
-    result = stream_series(model, series, delta=float(delta),
+    delta = float(cfg.detection["delta"])
+    result = stream_series(model, series, delta=delta,
                            cs_limit=float(cfg.detection["cs_limit"]))
     _write_csv(out / "stream_scores.csv", cfg.hash,
                "t,max_err,confidence,alarm,label",
@@ -183,7 +184,7 @@ def cmd_stream(args):
     _write_json(out / "stream_summary.json", {
         "config_hash": cfg.hash,
         "set_id": series.set_id,
-        "delta": float(delta),
+        "delta": delta,
         "cs_limit": float(cfg.detection["cs_limit"]),
         "multi_shot_f1": result.multi_shot_f1,
         "one_shot_f1": result.one_shot_f1,
@@ -326,7 +327,7 @@ def build_parser():
     p = sub.add_parser("stream", help="stride-1 streaming detection over one set")
     add_common(p, checkpoint=True, pick_set=True)
     p.add_argument("--delta", type=float, default=None,
-                   help="single-window threshold (default from config)")
+                   help="override detection.delta")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("compress", help="entropy-code the latents of one set")

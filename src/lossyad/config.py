@@ -10,11 +10,12 @@ from its dataclass. The data and detection sections have one table each.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .data import SynthConfig
-from .detection import SUBSET_SIZE
+from .detection import DEFAULT_CS_LIMIT, SUBSET_SIZE
 from .model import TcnConfig, config_hash
 from .training import LossWeights, TrainingConfig
 
@@ -45,7 +46,7 @@ _DATA_KEYS = {
 }
 _DETECTION_KEYS = {
     "delta": ((int, float), 1.0), "delta_grid": (list, [0.2, 3.0, 0.05]),
-    "cs_limit": ((int, float), 0.85), "eval_stride": ((int, type(None)), None),
+    "cs_limit": ((int, float), DEFAULT_CS_LIMIT), "eval_stride": ((int, type(None)), None),
 }
 _SECTIONS = {"model": _MODEL_KEYS, "training": _TRAINING_KEYS,
              "data": _DATA_KEYS, "detection": _DETECTION_KEYS}
@@ -59,13 +60,9 @@ def _check_section(raw, known, where):
         if key not in known:
             raise ConfigError(f"{where}.{key}: unknown key")
         expected = known[key][0]
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}.{key}: expected bool")
-        elif expected is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{where}.{key}: expected int")
-        elif not isinstance(value, expected):
+        # a JSON bool is a bool only: Python's True is also an int
+        if (isinstance(value, bool) != (expected is bool)
+                or not isinstance(value, expected)):
             name = getattr(expected, "__name__", str(expected))
             raise ConfigError(f"{where}.{key}: expected {name}")
     return {**{key: default for key, (_, default) in known.items()}, **raw}
@@ -129,8 +126,12 @@ def parse_experiment(doc):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"data.synth: {e}") from None
 
+    if not 0 < detection["delta"] <= sys.float_info.max:
+        raise ConfigError("detection.delta: must be finite and positive")
+    if not 0 < detection["cs_limit"] <= 1:
+        raise ConfigError("detection.cs_limit: must lie in (0, 1]")
     grid = detection["delta_grid"]
-    if (len(grid) != 3 or not all(isinstance(v, (int, float)) for v in grid)
+    if (len(grid) != 3 or not all(type(v) in (int, float) for v in grid)
             or not (0 < grid[0] <= grid[1] and grid[2] > 0)):
         raise ConfigError("detection.delta_grid: expected [start, stop, step] "
                           "with 0 < start <= stop and step > 0")

@@ -149,14 +149,18 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
                 raise ParseError(
                     f"{path}:{lineno}: ragged row with {len(raw)} cells, "
                     f"expected {len(header)}")
-            try:
-                rows.append([_finite_float(raw[i]) for i in feature_idx])
-            except ValueError:
-                bad = next(i for i in feature_idx
-                           if not _is_finite_float(raw[i]))
-                raise ParseError(
-                    f"{path}:{lineno}: value {raw[bad]!r} in column "
-                    f"{header[bad]!r} is not a finite number") from None
+            row = []
+            for i in feature_idx:
+                try:
+                    v = float(raw[i])
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"{path}:{lineno}: value {raw[i]!r} in column "
+                        f"{header[i]!r} is not a finite number")
+                row.append(v)
+            rows.append(row)
             label_raw = raw[anomaly_idx].strip()
             try:
                 label_val = float(label_raw)
@@ -178,21 +182,6 @@ def load_series(path, delimiter=",", timestamp_column="datetime",
                            labels=np.asarray(labels, dtype=np.int64))
     series.feature_names = feature_names
     return series
-
-
-def _finite_float(s):
-    """float(s), raising ValueError on nan and +-inf as well."""
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {s!r}")
-    return v
-
-
-def _is_finite_float(s):
-    try:
-        return math.isfinite(float(s))
-    except ValueError:
-        return False
 
 
 def normalize(train_series, other_series=()):
@@ -413,17 +402,15 @@ def synth_corpus(config, seed):
                 continue
             kind = config.anomaly_types[int(rng.integers(0, len(config.anomaly_types)))]
             sl = slice(start, start + duration)
-            if kind == "level_shift":
+            if kind != "frequency_change":   # the channels it hits
                 mask = rng.uniform(0, 1, size=c) < 0.6
                 if not mask.any():
                     mask[int(rng.integers(0, c))] = True
+            if kind == "level_shift":
                 sign = np.where(rng.uniform(0, 1, size=c) < 0.5, -1.0, 1.0)
                 shift = config.level_shift_sigma * sigma_c * sign * mask
                 x[:, sl] += shift[:, None]
             elif kind == "variance_burst":
-                mask = rng.uniform(0, 1, size=c) < 0.6
-                if not mask.any():
-                    mask[int(rng.integers(0, c))] = True
                 burst_std = 0.5 * config.variance_factor * sigma_c * mask
                 x[:, sl] += rng.normal(0.0, 1.0, size=(c, duration)) * burst_std[:, None]
             else:   # frequency_change

@@ -58,7 +58,7 @@ def subset_means(max_err):
 
 def one_shot(means, delta):
     """Strict threshold per subset: 1 iff mean > delta."""
-    if delta <= 0:
+    if not delta > 0:
         raise ContractError("delta must be positive")
     return (np.asarray(means, dtype=np.float64) > delta).astype(np.int64)
 

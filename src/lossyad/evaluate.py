@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .detection import (
-    SUBSET_SIZE, ConfidenceStream, default_delta_grid, f1_score, max_abs_error,
-    multi_shot, scaled_abs_error, score_window, subset_means, sweep_one_shot,
+    DEFAULT_CS_LIMIT, SUBSET_SIZE, ConfidenceStream, default_delta_grid,
+    f1_score, max_abs_error, multi_shot, scaled_abs_error, score_window,
+    subset_means, sweep_one_shot,
 )
 from .data import label_counts, window
 
@@ -73,22 +74,19 @@ def evaluate_one_shot(model, validation_sets, grid=None, stride=None):
         raise ContractError("every validation set must carry anomaly labels")
     grid = default_delta_grid() if grid is None else grid
     all_means, all_counts, all_rows = [], [], []
-    per_set_scores = {}
+    per_set = {}
     for s in validation_sets:
         means, counts, rows = window_scores(model, s, stride=stride)
         all_means.append(means)
         all_counts.append(counts)
         all_rows.extend(rows)
-        per_set_scores[s.set_id] = (means, counts)
-    best, best_delta, curve = sweep_one_shot(
-        np.concatenate(all_means), np.concatenate(all_counts), grid)
-    per_set = {}
-    for sid, (means, counts) in per_set_scores.items():
         try:
             r, d, _ = sweep_one_shot(means, counts, grid)
-            per_set[sid] = {"best_f1": r.f1, "best_delta": d}
+            per_set[s.set_id] = {"best_f1": r.f1, "best_delta": d}
         except ContractError:
-            per_set[sid] = {"best_f1": None, "best_delta": None}
+            per_set[s.set_id] = {"best_f1": None, "best_delta": None}
+    best, best_delta, curve = sweep_one_shot(
+        np.concatenate(all_means), np.concatenate(all_counts), grid)
     report = EvalReport(best_f1=best.f1, best_delta=best_delta, tp=best.tp,
                         fp=best.fp, fn=best.fn, per_set=per_set, curve=curve)
     return report, all_rows
@@ -104,7 +102,7 @@ class StreamResult:
     one_shot_f1: float
 
 
-def stream_series(model, series, delta, cs_limit=0.85):
+def stream_series(model, series, delta, cs_limit=DEFAULT_CS_LIMIT):
     """Stride-1 sliding-window scoring of one labeled series.
 
     Every window votes per time instant; votes accumulate into the
@@ -124,14 +122,13 @@ def stream_series(model, series, delta, cs_limit=0.85):
         if not np.isfinite(det.max_err).all():
             raise DomainError("window errors must be finite")
         stream.push(det.per_time_votes)
-        # time t's newest covering window in this chunk is min(t, last)
-        first, last = part.start, part.stop - 1
-        t = np.arange(first, last + t_len)
-        newest = np.minimum(t, last)
-        latest[first: last + t_len] = det.max_err[newest - first, t - newest]
+        # window k is the newest to cover time k; the chunk's last window
+        # is also the newest at the T-1 times after it
+        latest[part] = det.max_err[:, 0]
+        latest[part.stop: part.stop + t_len - 1] = det.max_err[-1, 1:]
         # the disjoint windows (offsets that are multiples of T) tile time
-        o = first + (-first) % t_len
-        disjoint = det.per_time_votes[o - first:: t_len]
+        o = part.start + (-part.start) % t_len
+        disjoint = det.per_time_votes[o - part.start:: t_len]
         disjoint_votes[o: o + disjoint.size] = disjoint.reshape(-1)
     cs = stream.confidence()
     alarms = multi_shot(cs, cs_limit)

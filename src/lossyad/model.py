@@ -200,9 +200,6 @@ class TcnAutoencoder:
         density_names = {p.name for p in self.density.parameters()}
         return [p for p in self._params if p.name not in density_names]
 
-    def named_parameters(self):
-        return {p.name: p for p in self._params}
-
     def chunks(self, n):
         """Consecutive slices of range(n), each at most CHUNK_ELEMENTS
         activation elements of this model (at least one window)."""
@@ -293,21 +290,19 @@ def config_hash(payload):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def save_checkpoint(model, out_dir, codec_support=None, extra=None):
-    """Write checkpoint.bin (raw little-endian float64 parameter blob, in
-    declared name order) and manifest.json describing it."""
+    """Write checkpoint.bin, the model's parameters in `model.parameters()`
+    order as little-endian float64 arrays back to back, and manifest.json,
+    whose `parameters` lists each one's name and shape in that order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    blob = bytearray()
-    table = []
-    for p in model.parameters():
-        raw = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-        table.append({"name": p.name, "shape": list(p.data.shape),
-                      "offset": len(blob), "bytes": len(raw)})
-        blob += raw
+    params = model.parameters()
+    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                    for p in params)
+    table = [{"name": p.name, "shape": list(p.data.shape)} for p in params]
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -326,7 +321,7 @@ def save_checkpoint(model, out_dir, codec_support=None, extra=None):
         }
     if extra:
         manifest.update(extra)
-    (out_dir / "checkpoint.bin").write_bytes(bytes(blob))
+    (out_dir / "checkpoint.bin").write_bytes(blob)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
     return out_dir / "checkpoint.bin", out_dir / "manifest.json"
@@ -335,8 +330,8 @@ def save_checkpoint(model, out_dir, codec_support=None, extra=None):
 def load_checkpoint(ckpt_dir):
     """Rebuild a model (and its codec, when saved) from a checkpoint directory.
 
-    The manifest must name exactly the model's parameters, with their shapes
-    and byte ranges inside checkpoint.bin, whose length must match, and every
+    The manifest must list exactly the model's parameters, names and shapes
+    in model order, checkpoint.bin must hold exactly their values, and every
     value and omega must be finite, omega positive; anything else is a
     ParseError, never a partly loaded model.
     """
@@ -360,27 +355,19 @@ def _model_from_manifest(manifest, blob):
     if manifest["config_hash"] != config_hash(manifest["config"]):
         raise ParseError("config_hash does not match the manifest's config")
     model = TcnAutoencoder(TcnConfig.from_dict(manifest["config"]), seed=0)
-    by_name = model.named_parameters()
-    entries = {e["name"]: e for e in manifest["parameters"]}
-    if len(entries) != len(manifest["parameters"]) or entries.keys() != by_name.keys():
-        raise ParseError(
-            f"checkpoint parameters differ from the model's: missing "
-            f"{sorted(by_name.keys() - entries.keys())}, unknown "
-            f"{sorted(entries.keys() - by_name.keys())}")
-    expected = 8 * sum(p.data.size for p in by_name.values())
-    if len(blob) != expected:
+    params = model.parameters()
+    if manifest["parameters"] != [{"name": p.name, "shape": list(p.data.shape)}
+                                  for p in params]:
+        raise ParseError("checkpoint parameters differ from the model's "
+                         "names, shapes or order")
+    sizes = [p.data.size for p in params]
+    if len(blob) != 8 * sum(sizes):
         raise ParseError(f"checkpoint.bin has {len(blob)} bytes, parameters "
-                         f"need {expected}")
-    for name, p in by_name.items():
-        e = entries[name]
-        offset, nbytes = e["offset"], e["bytes"]
-        if tuple(e["shape"]) != p.data.shape or nbytes != 8 * p.data.size:
-            raise ParseError(f"shape mismatch for {name}")
-        if not (isinstance(offset, int) and 0 <= offset <= len(blob) - nbytes):
-            raise ParseError(f"byte range of {name} lies outside checkpoint.bin")
-        arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+                         f"need {8 * sum(sizes)}")
+    values = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    for p, arr in zip(params, values):
         if not np.isfinite(arr).all():
-            raise ParseError(f"{name} holds a non-finite value")
+            raise ParseError(f"{p.name} holds a non-finite value")
         p.data = arr.astype(np.float64).reshape(p.data.shape)
     model.omega = np.asarray(manifest["omega"], dtype=np.float64)
     if model.omega.shape != (model.config.input_channels,):

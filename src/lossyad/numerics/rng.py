@@ -12,15 +12,16 @@ import hashlib
 import numpy as np
 
 
-class RngState:
-    """Deterministic random stream (PCG64) with named substream derivation."""
+class RngState(np.random.Generator):
+    """numpy's PCG64 Generator on a 64-bit seed, with named substreams.
 
-    algorithm = "pcg64"
+    Every draw is numpy's own method. `spawn(key)` replaces numpy's
+    `Generator.spawn(n_children)`, which nothing in the package calls.
+    """
 
     def __init__(self, seed):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self.draws = 0
+        super().__init__(np.random.PCG64(self.seed))
 
     def spawn(self, key):
         """Derive an independent stream from this seed and a label.
@@ -30,26 +31,3 @@ class RngState:
         """
         digest = hashlib.sha256(f"{self.seed}:{key}".encode()).digest()
         return RngState(int.from_bytes(digest[:8], "little"))
-
-    def uniform(self, low, high, size=None):
-        self.draws += 1
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        self.draws += 1
-        return self._gen.normal(loc, scale, size)
-
-    def integers(self, low, high, size=None):
-        self.draws += 1
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n):
-        self.draws += 1
-        return self._gen.permutation(n)
-
-    def choice(self, n, size, replace=True):
-        self.draws += 1
-        return self._gen.choice(n, size=size, replace=replace)
-
-    def __repr__(self):
-        return f"RngState(seed={self.seed}, algorithm={self.algorithm}, draws={self.draws})"

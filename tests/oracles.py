@@ -202,3 +202,14 @@ def build_training_corpus_oracle(sets, p, seed, window_length, stride,
     order = shuffle_rng.permutation(len(windows))
     return (np.stack([windows[i] for i in order]), [ids[i] for i in order],
             [offsets[i] for i in order], len(chosen) / len(windows))
+
+
+def checkpoint_offset(manifest, name):
+    """Byte offset of parameter `name` in checkpoint.bin: the float64 sizes
+    of the manifest's parameters listed before it, summed."""
+    offset = 0
+    for entry in manifest["parameters"]:
+        if entry["name"] == name:
+            return offset
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)

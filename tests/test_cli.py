@@ -14,6 +14,7 @@ from lossyad.config import MAX_DELTA_GRID_POINTS, load_experiment, parse_experim
 from lossyad.errors import ConfigError, NumericAbort
 from lossyad.model import TcnConfig
 from lossyad.training import LossWeights, TrainingConfig
+from oracles import checkpoint_offset
 
 
 def tiny_config(out_dir, **overrides):
@@ -84,6 +85,22 @@ DATACLASS_KEYS = [
 ]
 
 
+# Every key of the training, data, data.synth and detection sections that
+# takes a number.
+NUMBER_KEYS = [
+    *[("training", key) for key in (
+        "lambda1", "lambda2", "learning_rate", "batch_size", "epochs", "seed")],
+    *[("data", key) for key in (
+        "synth_seed", "anomaly_fraction", "split_seed", "n_validation",
+        "train_stride", "min_anomalous_fraction")],
+    *[("data.synth", key) for key in (
+        "channels", "n_sets", "length", "latent_components", "noise_std",
+        "normal_prefix_fraction", "anomaly_rate", "level_shift_sigma",
+        "variance_factor", "frequency_factor")],
+    *[("detection", key) for key in ("delta", "cs_limit", "eval_stride")],
+]
+
+
 def nested(section, key, value):
     """A config document that sets one key of a (dotted) section."""
     doc = {key: value}
@@ -104,6 +121,39 @@ class TestConfigValidation:
         parse_experiment(nested(section, key, good))
         with pytest.raises(ConfigError, match=key):
             parse_experiment(nested(section, key, bad))
+
+    @pytest.mark.parametrize("section, key", NUMBER_KEYS)
+    def test_bool_for_a_number_is_config_error(self, tmp_path, section, key):
+        # Python's True is an int; a JSON bool must not pass as 1
+        out = tmp_path / "o"
+        doc = tiny_config(out)
+        target = doc
+        for name in section.split("."):
+            target = target[name]
+        target[key] = True
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert not out.exists()
+
+    def test_bool_in_the_delta_grid_is_config_error(self):
+        with pytest.raises(ConfigError, match="delta_grid"):
+            parse_experiment(nested("detection", "delta_grid", [True, 3.0, 0.05]))
+
+    @pytest.mark.parametrize("edits, flags", [
+        ({"delta": float("nan")}, []), ({"delta": -1.0}, []),
+        ({"delta": float("inf")}, []), ({}, ["--delta", "nan"]),
+        ({}, ["--delta", "-1"]), ({"cs_limit": float("nan")}, []),
+        ({"cs_limit": 1.5}, []), ({"cs_limit": 0}, [])])
+    def test_bad_threshold_is_config_error(self, trained, tmp_path, edits, flags):
+        # json writes and reads NaN and Infinity; the parse must stop them
+        # before any checkpoint or split is loaded
+        _, out = trained
+        doc = tiny_config(tmp_path / "o")
+        doc["detection"].update(edits)
+        dest = tmp_path / "stream"
+        assert main(["stream", "--config", str(write_config(tmp_path, doc)),
+                     "--checkpoint", str(out), "--out", str(dest), *flags]) == 2
+        assert not (dest / "stream_scores.csv").exists()
+        assert not (dest / "stream_summary.json").exists()
 
     def test_window_length_off_the_subset_grid_is_config_error(self, tmp_path):
         out = tmp_path / "o"
@@ -342,9 +392,9 @@ class TestStreamAndCompress:
         ckpt = tmp_path / "ckpt"
         shutil.copytree(out, ckpt)
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        entry = next(e for e in manifest["parameters"] if e["name"] == "latent.bias")
+        offset = checkpoint_offset(manifest, "latent.bias")
         blob = bytearray((ckpt / "checkpoint.bin").read_bytes())
-        blob[entry["offset"]: entry["offset"] + 16] = np.array(
+        blob[offset: offset + 16] = np.array(
             [1e20, -1e20], dtype="<f8").tobytes()
         (ckpt / "checkpoint.bin").write_bytes(bytes(blob))
         dest = tmp_path / "comp"
@@ -360,9 +410,9 @@ class TestStreamAndCompress:
         ckpt = tmp_path / "ckpt"
         shutil.copytree(out, ckpt)
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        entry = next(e for e in manifest["parameters"] if e["name"] == "expand.bias")
+        offset = checkpoint_offset(manifest, "expand.bias")
         blob = bytearray((ckpt / "checkpoint.bin").read_bytes())
-        blob[entry["offset"]: entry["offset"] + 8] = np.array(
+        blob[offset: offset + 8] = np.array(
             [np.nan], dtype="<f8").tobytes()
         (ckpt / "checkpoint.bin").write_bytes(bytes(blob))
         dest = tmp_path / "stream"

@@ -245,6 +245,20 @@ def test_integer_pmf_sums_with_tail_to_one():
     np.testing.assert_allclose(totals, np.ones(5), atol=1e-9)
 
 
+def test_integer_pmf_per_dim_supports_are_the_scalar_rows():
+    d = make_density(dims=5, seed=14, perturb=0.4)
+    lo, hi = np.array([-3, 0, -12, 4, -1]), np.array([2, 0, 7, 9, 30])
+    pmf, tail = d.integer_pmf(lo, hi)
+    assert pmf.shape == (5, 32)
+    # a wider grid may round the CDF stack's matmul differently in the
+    # last bit, so the rows agree to rounding, not bit for bit
+    for i, width in enumerate(hi - lo + 1):
+        row_pmf, row_tail = d.integer_pmf(lo[i], hi[i])
+        np.testing.assert_allclose(pmf[i, :width], row_pmf[i], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tail[i], row_tail[i], rtol=1e-12, atol=1e-15)
+        assert not pmf[i, width:].any()
+
+
 def test_round_half_away_helper():
     np.testing.assert_array_equal(
         round_half_away(np.array([0.5, -0.5, 2.5, -2.5])), [1.0, -1.0, 3.0, -3.0])

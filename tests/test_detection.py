@@ -91,6 +91,12 @@ class TestOneShot:
         assert one_shot(np.array([1.5]), detection["delta"])[0] == 1
         assert multi_shot(np.array([0.9]), detection["cs_limit"])[0] == 1
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_delta_rejected(self, delta):
+        # a NaN delta would vote nothing and score every set F1 0
+        with pytest.raises(ContractError, match="delta"):
+            one_shot(np.array([1.5]), delta)
+
     def test_monotonicity_in_delta(self):
         rng = np.random.default_rng(4)
         means = rng.uniform(0, 3, size=20)

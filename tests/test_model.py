@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mutations import mutate
+from oracles import checkpoint_offset
 
 from lossyad.errors import (ContractError, DimensionError, DomainError,
                             LossyadError, ParseError)
@@ -171,8 +172,8 @@ class TestArchitectureInvariants:
             m = TcnAutoencoder(cfg, seed=14)
 
             def sizes(side):
-                return sorted(p.data.size for name, p in m.named_parameters().items()
-                              if name.startswith(side) and name.endswith(".weight"))
+                return sorted(p.data.size for p in m.parameters()
+                              if p.name.startswith(side) and p.name.endswith(".weight"))
 
             assert sizes("encoder.") == sizes("decoder.")
 
@@ -227,32 +228,40 @@ class TestCheckpoint:
         path, manifest = self.saved(tmp_path)
         manifest["parameters"].pop(3)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="missing"):
+        with pytest.raises(ParseError, match="differ from the model's"):
             load_checkpoint(tmp_path)
 
     def test_unknown_parameter_rejected(self, tmp_path):
         path, manifest = self.saved(tmp_path)
         manifest["parameters"][3]["name"] = "encoder.block9.conv0.weight"
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="unknown"):
+        with pytest.raises(ParseError, match="differ from the model's"):
             load_checkpoint(tmp_path)
 
-    def test_byte_range_outside_blob_rejected(self, tmp_path):
+    def test_swapped_parameters_rejected(self, tmp_path):
+        # checkpoint.bin follows model order, so the manifest must too
         path, manifest = self.saved(tmp_path)
-        blob_len = (tmp_path / "checkpoint.bin").stat().st_size
-        manifest["parameters"][0]["offset"] = blob_len - 8
+        table = manifest["parameters"]
+        table[2], table[3] = table[3], table[2]
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="outside"):
+        with pytest.raises(ParseError, match="order"):
+            load_checkpoint(tmp_path)
+
+    def test_version_1_manifest_rejected(self, tmp_path):
+        path, manifest = self.saved(tmp_path)
+        manifest["format_version"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="checkpoint version 1"):
             load_checkpoint(tmp_path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         path, manifest = self.saved(tmp_path)
-        entry = manifest["parameters"][3]
+        name = manifest["parameters"][3]["name"]
+        offset = checkpoint_offset(manifest, name)
         blob = bytearray((tmp_path / "checkpoint.bin").read_bytes())
-        blob[entry["offset"]: entry["offset"] + 8] = np.array(
-            [np.nan], dtype="<f8").tobytes()
+        blob[offset: offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
         (tmp_path / "checkpoint.bin").write_bytes(bytes(blob))
-        with pytest.raises(ParseError, match=f"{entry['name']} holds a non-finite"):
+        with pytest.raises(ParseError, match=f"{name} holds a non-finite"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])

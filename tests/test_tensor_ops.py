@@ -197,3 +197,26 @@ def test_determinism_same_seed_same_outputs():
     a, b = run(), run()
     assert np.array_equal(a, b)
     assert a.tobytes() == b.tobytes()
+
+
+def test_rng_state_draws_numpys_pcg64_stream():
+    """RngState(s) is numpy's Generator on PCG64(s), for every draw the
+    package makes; spawn(k) seeds from sha256 of "s:k"."""
+    import hashlib
+
+    from lossyad.numerics import RngState
+
+    for seed in (0, 7, 2 ** 64 - 1):
+        def draws(gen):
+            return [gen.uniform(-0.5, 0.5, size=(3, 4)), gen.normal(0.0, 2.0, size=5),
+                    gen.integers(40, 121), gen.integers(0, 9, size=6),
+                    gen.permutation(11), gen.choice(10, size=4, replace=False),
+                    gen.choice(10, size=7, replace=True)]
+
+        ours = draws(RngState(seed))
+        numpys = draws(np.random.Generator(np.random.PCG64(seed)))
+        for a, b in zip(ours, numpys):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for key in ("weights", "set3"):
+            digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
+            assert RngState(seed).spawn(key).seed == int.from_bytes(digest[:8], "little")
