@@ -24,6 +24,10 @@ from .training import LossWeights, TrainingConfig
 MAX_DELTA_GRID_POINTS = 10_000
 
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "tuple": list}
+# what a type error names: the JSON type, not the Python one
+_JSON_TYPE_NAMES = {int: "integer", (int, float): "number", bool: "boolean",
+                    list: "array", str: "string", dict: "object",
+                    (int, type(None)): "integer or null"}
 
 
 def _dataclass_keys(*classes):
@@ -63,8 +67,7 @@ def _check_section(raw, known, where):
         # a JSON bool is a bool only: Python's True is also an int
         if (isinstance(value, bool) != (expected is bool)
                 or not isinstance(value, expected)):
-            name = getattr(expected, "__name__", str(expected))
-            raise ConfigError(f"{where}.{key}: expected {name}")
+            raise ConfigError(f"{where}.{key}: expected {_JSON_TYPE_NAMES[expected]}")
     return {**{key: default for key, (_, default) in known.items()}, **raw}
 
 

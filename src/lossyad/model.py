@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -300,8 +301,6 @@ def save_checkpoint(model, out_dir, codec_support=None, extra=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = model.parameters()
-    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                    for p in params)
     table = [{"name": p.name, "shape": list(p.data.shape)} for p in params]
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -321,7 +320,9 @@ def save_checkpoint(model, out_dir, codec_support=None, extra=None):
         }
     if extra:
         manifest.update(extra)
-    (out_dir / "checkpoint.bin").write_bytes(blob)
+    with open(out_dir / "checkpoint.bin", "wb") as blob:
+        for p in params:   # each array straight to the file, no joined copy
+            np.ascontiguousarray(p.data, dtype="<f8").tofile(blob)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
     return out_dir / "checkpoint.bin", out_dir / "manifest.json"
@@ -338,18 +339,20 @@ def load_checkpoint(ckpt_dir):
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
     manifest = manifest_path.read_bytes()
-    blob = (ckpt_dir / "checkpoint.bin").read_bytes()
-    try:
-        manifest = json.loads(manifest)  # a UnicodeDecodeError is a ValueError
-        model, codec = _model_from_manifest(manifest, blob)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{manifest_path}: {type(e).__name__}: {e}") from None
+    with open(ckpt_dir / "checkpoint.bin", "rb") as blob:
+        try:
+            manifest = json.loads(manifest)  # a UnicodeDecodeError is a ValueError
+            model, codec = _model_from_manifest(manifest, blob)
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{manifest_path}: {type(e).__name__}: {e}") from None
     return model, manifest, codec
 
 
 def _model_from_manifest(manifest, blob):
+    """The model and codec of a parsed manifest; `blob` is checkpoint.bin,
+    open for reading, whose size is checked before any of it is read."""
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {manifest['format_version']}")
     if manifest["config_hash"] != config_hash(manifest["config"]):
@@ -360,15 +363,19 @@ def _model_from_manifest(manifest, blob):
                                   for p in params]:
         raise ParseError("checkpoint parameters differ from the model's "
                          "names, shapes or order")
-    sizes = [p.data.size for p in params]
-    if len(blob) != 8 * sum(sizes):
-        raise ParseError(f"checkpoint.bin has {len(blob)} bytes, parameters "
-                         f"need {8 * sum(sizes)}")
-    values = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
-    for p, arr in zip(params, values):
+    need = 8 * sum(p.data.size for p in params)
+    size = os.fstat(blob.fileno()).st_size
+    if size != need:
+        raise ParseError(f"checkpoint.bin has {size} bytes, parameters need {need}")
+    # one parameter read at a time, every one checked before any is assigned
+    values = []
+    for p in params:
+        arr = np.fromfile(blob, dtype="<f8", count=p.data.size)
         if not np.isfinite(arr).all():
             raise ParseError(f"{p.name} holds a non-finite value")
-        p.data = arr.astype(np.float64).reshape(p.data.shape)
+        values.append(arr.astype(np.float64, copy=False).reshape(p.data.shape))
+    for p, arr in zip(params, values):
+        p.data = arr
     model.omega = np.asarray(manifest["omega"], dtype=np.float64)
     if model.omega.shape != (model.config.input_channels,):
         raise ParseError(f"omega has shape {model.omega.shape}, expected "

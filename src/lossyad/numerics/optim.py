@@ -10,7 +10,10 @@ from ..errors import ContractError
 class Adam:
     """Standard Adam over a fixed parameter list.
 
-    State (first/second moments, step counter) is per-parameter and
+    Holds one first and one second moment per parameter (`m`, `v`), updated
+    in place, so the same arrays live for the optimizer's lifetime. Each
+    step takes every parameter's gradient and clears it (`p.grad` is None
+    afterwards), so no gradient outlives the step that used it. State is
     deterministic given the gradient sequence.
     """
 
@@ -33,14 +36,22 @@ class Adam:
                 raise ContractError(f"parameter {p.name} has no gradient")
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        for p, m, v in zip(self.params, self.m, self.v):
+            g, p.grad = p.grad, None
+            # the textbook expression's operations in its order, so the
+            # bytes match m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+            # p -= lr*m_hat / (sqrt(v_hat) + eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g *= g
+            g *= 1.0 - self.beta2
+            v *= self.beta2
+            v += g
+            del g   # freed before m_hat and v_hat are made
+            m_hat = m / (1.0 - self.beta1 ** t)
+            m_hat *= self.lr
+            v_hat = v / (1.0 - self.beta2 ** t)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat /= v_hat
+            p.data -= m_hat

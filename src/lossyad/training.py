@@ -122,6 +122,13 @@ def fit(corpus, config):
     the best-epoch parameters (by training loss) and the final converged
     channel normalizer. A non-finite loss aborts with the last finite
     report attached.
+
+    Holds each parameter-sized array once: the parameters, one gradient
+    (taken and cleared by each Adam step, so the returned model carries
+    none), Adam's two moments, and at most one best-epoch snapshot,
+    allocated at the first snapshot and refilled in place. The final
+    epoch's parameters are live already, so it takes no snapshot, and a
+    1-epoch fit copies nothing.
     """
     windows = _as_window_array(corpus)
     cfg = config.model
@@ -145,6 +152,7 @@ def fit(corpus, config):
     weights = config.weights
 
     best_total = np.inf
+    best_params = None   # None after the loop: the final epoch's are best
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -153,7 +161,6 @@ def fit(corpus, config):
         for start in range(0, n, config.batch_size):
             batch_idx = order[start: start + config.batch_size]
             residuals = []
-            opt.zero_grad()
             # Backward per chunk keeps one graph alive at a time; weighting
             # each chunk's mean loss by its share of the minibatch
             # accumulates the minibatch-mean gradient.
@@ -191,11 +198,17 @@ def fit(corpus, config):
                                last_report=report)
         if total < best_total:
             best_total = total
-            best_params = [p.data.copy() for p in model.parameters()]
+            if epoch == config.epochs - 1:
+                best_params = None
+            else:
+                if best_params is None:
+                    best_params = [np.empty_like(p.data) for p in params]
+                for snap, p in zip(best_params, params):
+                    np.copyto(snap, p.data)
 
-    # epochs >= 1 and every total is finite, so epoch 0 set best_params
-    for p, snap in zip(model.parameters(), best_params):
-        p.data = snap
+    if best_params is not None:
+        for p, snap in zip(params, best_params):
+            p.data = snap
     model.omega = normalizer.omega   # converged, from the end of training
     return model, report
 

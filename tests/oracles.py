@@ -213,3 +213,23 @@ def checkpoint_offset(manifest, name):
             return offset
         offset += 8 * int(np.prod(entry["shape"]))
     raise KeyError(name)
+
+
+def adam_oracle(values, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam (Kingma & Ba 2015, Algorithm 1) over a list of
+    parameter arrays: `grads` holds one list of gradients per step. Each
+    step builds new moments and new parameters; returns the parameters
+    after every step."""
+    values = [np.array(v, dtype=np.float64) for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    history = []
+    for t, step_grads in enumerate(grads, start=1):
+        for i, g in enumerate(step_grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v2[i] = beta2 * v2[i] + (1.0 - beta2) * (g * g)
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v2[i] / (1.0 - beta2 ** t)
+            values[i] = values[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append([v.copy() for v in values])
+    return history

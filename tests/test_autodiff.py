@@ -6,7 +6,7 @@ import pytest
 from lossyad.errors import ContractError
 from lossyad.numerics import Adam, Parameter, Tensor, backward, functional as F
 
-from oracles import finite_diff_grad, max_rel_error
+from oracles import adam_oracle, finite_diff_grad, max_rel_error
 
 
 def check_grad(build_loss, params, tol=1e-4, h=1e-5):
@@ -182,8 +182,36 @@ class TestAdam:
             opt.step()
         np.testing.assert_array_equal(p1.data, p2.data)
 
-    def test_missing_grad_rejected(self):
-        p = Parameter(np.array([1.0]), "p")
-        opt = Adam([p])
-        with pytest.raises(ContractError):
+    def test_matches_textbook_reference(self):
+        # in-place moments, bit for bit the textbook expression; the third
+        # step's gradients are all zero
+        rng = np.random.default_rng(7)
+        shapes = [(3, 4), (5,), (2, 2, 3)]
+        start = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in range(5)]
+        grads[2] = [np.zeros(s) for s in shapes]
+        params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(start)]
+        opt = Adam(params, lr=0.01)
+        moments = opt.m + opt.v
+        expected = adam_oracle(start, grads, lr=0.01)
+        for step_grads, want in zip(grads, expected):
+            for p, g in zip(params, step_grads):
+                p.grad = g.copy()
             opt.step()
+            for p, w in zip(params, want):
+                np.testing.assert_array_equal(p.data, w)
+                assert p.grad is None
+            assert all(a is b for a, b in zip(opt.m + opt.v, moments))
+
+    def test_missing_grad_rejected(self):
+        # checked before any parameter moves
+        p1 = Parameter(np.array([1.0, 2.0]), "p1")
+        p2 = Parameter(np.array([3.0]), "p2")
+        opt = Adam([p1, p2])
+        p1.grad = np.array([0.5, -0.5])
+        with pytest.raises(ContractError, match="p2 has no gradient"):
+            opt.step()
+        np.testing.assert_array_equal(p1.data, [1.0, 2.0])
+        np.testing.assert_array_equal(p2.data, [3.0])
+        assert opt.step_count == 0
+        assert not any(m.any() for m in opt.m)

@@ -134,6 +134,26 @@ class TestConfigValidation:
         assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, bad, expected", [
+        ("model", "blocks", 2.5, "integer"),
+        ("model", "bottleneck_enabled", 1, "boolean"),
+        ("training", "learning_rate", "0.5", "number"),
+        ("data", "source", 1, "string"),
+        ("data", "paths", "a.csv", "array"),
+        ("data", "synth", [], "object"),
+        ("data.synth", "anomaly_types", "variance_burst", "array"),
+        ("detection", "delta", True, "number"),
+        ("detection", "eval_stride", 2.5, "integer or null"),
+        *[(section, key, {}, None) for section, key, _, _ in DATACLASS_KEYS],
+        *[(section, key, {}, None) for section, key in NUMBER_KEYS]])
+    def test_type_error_names_the_json_type(self, section, key, bad, expected):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment(nested(section, key, bad))
+        message = str(err.value)
+        assert "<class" not in message
+        if expected is not None:
+            assert message == f"{section}.{key}: expected {expected}"
+
     def test_bool_in_the_delta_grid_is_config_error(self):
         with pytest.raises(ConfigError, match="delta_grid"):
             parse_experiment(nested("detection", "delta_grid", [True, 3.0, 0.05]))

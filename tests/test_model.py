@@ -1,6 +1,7 @@
 """Autoencoder architecture tests: shapes, causality, mirror, checkpointing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,35 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="frequencies"):
             load_checkpoint(tmp_path)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """fn(*args) and the tracemalloc peak it adds to what was held."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # At the TcnConfig defaults the parameters take 38.3 MiB; neither save
+    # nor load makes a copy of the whole blob.
+    def test_save_streams_each_parameter_to_the_file(self, tmp_path):
+        m = TcnAutoencoder(TcnConfig(), seed=23)
+        _, peak = self.traced_peak(save_checkpoint, m, tmp_path)
+        assert peak < 2 * 2 ** 20
+
+    def test_load_holds_the_model_and_the_values_read(self, tmp_path):
+        # the model it builds plus the values it reads: 2 parameter sizes,
+        # and 4 MiB for the manifest and the finite checks
+        m = TcnAutoencoder(TcnConfig(), seed=23)
+        save_checkpoint(m, tmp_path)
+        param_bytes = sum(p.data.nbytes for p in m.parameters())
+        (loaded, _, _), peak = self.traced_peak(load_checkpoint, tmp_path)
+        assert peak < 2 * param_bytes + 4 * 2 ** 20
+        for p, q in zip(m.parameters(), loaded.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
     def test_same_seed_same_init(self):
         m1 = TcnAutoencoder(toy_config(), seed=19)

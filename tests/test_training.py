@@ -1,6 +1,9 @@
 """Losses, channel normalizer, and training-loop behavior."""
 
 import gc
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from lossyad.training import (
     ChannelNormalizer, LossWeights, TrainingConfig, fit,
     latent_support, rdo_loss,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from layertrace import graph_size  # noqa: E402
+
+MIB = 2 ** 20
 
 
 def toy_model_config(**kw):
@@ -225,6 +234,61 @@ class TestFit:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("bottleneck", [True, False])
+    def test_fitted_model_holds_no_gradient(self, bottleneck):
+        cfg = toy_train_config(
+            model=toy_model_config(bottleneck_enabled=bottleneck), epochs=2)
+        model, _ = fit(toy_corpus(8, seed=13), cfg)
+        assert all(p.grad is None for p in model.parameters())
+
+    @pytest.mark.parametrize("learning_rate, epochs, best", [
+        # at lr 0.3 epoch 1 totals about 500x epoch 0: epoch 0's snapshot
+        # is restored
+        (0.3, 2, 0),
+        # at lr 0.1 the totals read about 149, 160, 70, 88: epoch 0's
+        # snapshot is refilled in place at epoch 2, then restored
+        (0.1, 4, 2)])
+    def test_worse_final_epoch_returns_the_best_epochs_parameters(
+            self, learning_rate, epochs, best):
+        windows = toy_corpus()
+        cfg = toy_train_config(learning_rate=learning_rate, epochs=epochs)
+        model, report = fit(windows, cfg)
+        totals = [e.total for e in report.epochs]
+        assert int(np.argmin(totals)) == best and totals[-1] > totals[best]
+        # every fit draws the same streams, so a fit that stops at the best
+        # epoch ends with that epoch's parameters live
+        shorter, _ = fit(windows, toy_train_config(learning_rate=learning_rate,
+                                                   epochs=best + 1))
+        for p, q in zip(model.parameters(), shorter.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+
+    def test_default_shape_fit_holds_each_parameter_array_once(self):
+        # One window, one epoch at the TcnConfig defaults: the parameters,
+        # one gradient and Adam's m and v (4 x 38.3 MiB), plus the graph of
+        # one chunk (one window, about 22.8 MiB), plus an 8 MiB margin. Adam
+        # steps once backward has freed the graph, so the step's
+        # temporaries (two arrays of the largest parameter, 25 MiB) fit in
+        # the graph's share. A copy of the final epoch's parameters
+        # (the fit then peaks near 203 MiB) goes over.
+        cfg = TrainingConfig(model=TcnConfig(), weights=LossWeights(),
+                             batch_size=1, epochs=1)
+        window = toy_corpus(1, c=cfg.model.input_channels,
+                            t_len=cfg.model.window_length)
+        model = TcnAutoencoder(cfg.model)
+        param_bytes = sum(p.data.nbytes for p in model.parameters())
+        x_hat, x_tilde, rate = model.forward_train(window, RngState(0))
+        _, graph_bytes = graph_size(
+            rdo_loss(Tensor(window), x_hat, x_tilde, rate, cfg.weights))
+        del model, x_hat, x_tilde, rate
+        bound = 4 * param_bytes + graph_bytes + 8 * MIB
+        tracemalloc.start()
+        try:
+            fit(window, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / MIB:.1f} MiB, bound {bound / MIB:.1f} MiB"
 
     def test_latent_support_covers_observations(self):
         windows = toy_corpus(6, seed=10)
